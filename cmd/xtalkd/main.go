@@ -70,8 +70,8 @@ func main() {
 		portfolio = flag.Bool("portfolio", false, "race the SMT engine against the greedy heuristic under -budget")
 		route     = flag.Bool("route", false, "route circuits onto the device topology before scheduling")
 		decompose = flag.Bool("decompose", true, "decompose SWAP gates into CNOTs before scheduling")
-		cacheMB   = flag.Int64("cache-mb", 64, "in-memory artifact cache size bound in MiB")
-		cacheKB   = flag.Int64("cache-kb", 0, "in-memory cache bound in KiB (overrides -cache-mb; testing/bench knob)")
+		cacheMB   = flag.Int64("cache-mb", 64, "memory tier size bound in MiB: artifacts plus their encoded replies")
+		cacheKB   = flag.Int64("cache-kb", 0, "memory tier bound in KiB (overrides -cache-mb; testing/bench knob)")
 		store     = flag.String("store", "", "persistent artifact store directory (empty = memory-only)")
 		storeMB   = flag.Int64("store-mb", 512, "disk store size bound in MiB")
 		self      = flag.String("self", "", "this daemon's advertised host:port ring identity (required with -peers)")
@@ -90,7 +90,6 @@ func main() {
 		brkCool   = flag.Duration("breaker-cooldown", serve.DefaultBreakerCooldown, "breaker open interval before the first half-open probe (doubles while the peer stays down)")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM: max wait for in-flight requests before forcing shutdown")
 		faults    = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,solve.delay=200ms,peer.blackhole=1 (see internal/faultinject)")
-		respMB    = flag.Int64("resp-cache-mb", serve.DefaultRespCacheBytes>>20, "encoded-response cache size bound in MiB (negative = disable the response tier)")
 		idleConns = flag.Int("peer-idle-conns", serve.DefaultPeerIdleConns, "kept-alive connections per ring peer in the proxy/transfer transport")
 		noPrewarm = flag.Bool("no-prewarm", false, "disable the join/epoch-flip artifact prewarm engine")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
@@ -140,7 +139,6 @@ func main() {
 		PeerRetries:     cfgRetries,
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
-		RespCacheBytes:  respCacheBytes(*respMB),
 		PeerIdleConns:   *idleConns,
 		DisablePrewarm:  *noPrewarm,
 	}
@@ -170,15 +168,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xtalkd:", err)
 		os.Exit(1)
 	}
-}
-
-// respCacheBytes maps the CLI convention (negative = off, 0 = default) onto
-// the Config convention (negative = off, 0 = default — but spelled in MiB).
-func respCacheBytes(mb int64) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return mb << 20
 }
 
 // cliOmega maps the CLI convention (0 means omega 0) onto the pipeline

@@ -198,7 +198,7 @@ func (in *Injector) Stats() Stats {
 
 // Apply wires the injector's active domains into cfg: SolveHook,
 // PeerTransport (wrapping the existing transport, or the default one built
-// from cfg.PeerTimeout) and WrapStore. Domains the plan leaves at zero are
+// from cfg.PeerTimeout and cfg.PeerIdleConns) and WrapStore. Domains the plan leaves at zero are
 // not touched, so an empty plan leaves cfg unchanged.
 func (in *Injector) Apply(cfg *serve.Config) {
 	p := in.plan
@@ -208,7 +208,7 @@ func (in *Injector) Apply(cfg *serve.Config) {
 	if p.PeerDelay > 0 || p.PeerErr > 0 || p.PeerBlackhole > 0 {
 		base := cfg.PeerTransport
 		if base == nil {
-			base = serve.NewPeerTransport(cfg.PeerTimeout)
+			base = serve.NewPeerTransport(cfg.PeerTimeout, cfg.PeerIdleConns)
 		}
 		cfg.PeerTransport = in.Transport(base)
 	}

@@ -139,3 +139,21 @@ func TestApplyOnlyActiveDomains(t *testing.T) {
 		t.Fatalf("solve.err=1 hook returned %v", err)
 	}
 }
+
+// TestApplyKeepsPeerIdleConns: the default base transport Apply builds
+// under the peer faults honors the configured keep-alive pool size.
+func TestApplyKeepsPeerIdleConns(t *testing.T) {
+	cfg := serve.Config{PeerIdleConns: 7}
+	New(Plan{Seed: 1, PeerErr: 1}).Apply(&cfg)
+	ft, ok := cfg.PeerTransport.(*faultTransport)
+	if !ok {
+		t.Fatalf("peer transport %T, want the fault wrapper", cfg.PeerTransport)
+	}
+	base, ok := ft.base.(*http.Transport)
+	if !ok {
+		t.Fatalf("base transport %T, want *http.Transport", ft.base)
+	}
+	if base.MaxIdleConnsPerHost != 7 {
+		t.Fatalf("base transport keeps %d idle conns per host, want 7", base.MaxIdleConnsPerHost)
+	}
+}

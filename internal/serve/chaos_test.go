@@ -157,7 +157,7 @@ func TestChaosBreakerRecovers(t *testing.T) {
 		listeners[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	flip := &flipTransport{base: serve.NewPeerTransport(0)}
+	flip := &flipTransport{base: serve.NewPeerTransport(0, 0)}
 	servers := make([]*serve.Server, 2)
 	for i := range servers {
 		cfg := serve.Config{

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -22,11 +24,18 @@ import (
 // newDiskServer builds a server with the persistent tier rooted at dir.
 func newDiskServer(t *testing.T, dir string) *Server {
 	t.Helper()
+	return newDiskServerHook(t, dir, nil)
+}
+
+// newDiskServerHook is newDiskServer with Config.SolveHook set to hook.
+func newDiskServerHook(t *testing.T, dir string, hook func(context.Context) error) *Server {
+	t.Helper()
 	s, err := New(Config{
-		Spec:     "poughkeepsie",
-		Seed:     1,
-		StoreDir: dir,
-		Pipeline: pipeline.Config{Budget: 5 * time.Second},
+		Spec:      "poughkeepsie",
+		Seed:      1,
+		StoreDir:  dir,
+		Pipeline:  pipeline.Config{Budget: 5 * time.Second},
+		SolveHook: hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +58,9 @@ func TestDiskTierRestartServesWithoutSolver(t *testing.T) {
 	s1.Close()
 
 	// "Restart": a brand-new server process state over the same directory.
-	s2 := newDiskServer(t, dir)
-	s2.solveHook = func() { t.Fatal("restarted daemon invoked the solver for a stored fingerprint") }
+	s2 := newDiskServerHook(t, dir, func(context.Context) error {
+		return errors.New("restarted daemon invoked the solver for a stored fingerprint")
+	})
 	warm := compileOK(t, s2, CompileRequest{Source: testQASM})
 	if warm.Tier != TierDisk || !warm.Cached {
 		t.Fatalf("restart compile tier %q cached %v, want disk hit", warm.Tier, warm.Cached)
@@ -414,5 +424,44 @@ func TestConfigurableBodyCap(t *testing.T) {
 	ok := postCompile(t, ts.URL, CompileRequest{Source: testQASM})
 	if ok.Tier != TierCold {
 		t.Fatalf("under-cap compile tier %q", ok.Tier)
+	}
+}
+
+// TestFleetPeerPromotion pins how a non-owner takes over a hot proxied
+// reply: the first two requests are proxied to the ring owner, and the
+// second peer hit promotes the reply into the non-owner's memory tier, so
+// the third is a local memory hit. A request differing only in its tag is
+// served from the same promoted reply.
+func TestFleetPeerPromotion(t *testing.T) {
+	nodes := newFleet(t, 2)
+	eng, err := nodes[0].srv.engine("poughkeepsie", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := eng.Materialize(&pipeline.Request{Source: testQASM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, other := nodes[0], nodes[1]
+	if nodes[0].srv.ring.Owner(eng.Fingerprint(circ)) != nodes[0].addr {
+		owner, other = nodes[1], nodes[0]
+	}
+
+	proxied := owner.srv.Stats().ProxiedIn
+	for i, want := range []string{TierPeer, TierPeer, TierMem} {
+		resp := postCompile(t, other.http.URL, CompileRequest{Source: testQASM})
+		if resp.Tier != want {
+			t.Fatalf("request %d on the non-owner: tier %q, want %q", i+1, resp.Tier, want)
+		}
+	}
+	if got := owner.srv.Stats().ProxiedIn - proxied; got != 2 {
+		t.Fatalf("owner proxied_in grew by %d, want 2", got)
+	}
+	tagged := postCompile(t, other.http.URL, CompileRequest{Source: testQASM, Tag: "again"})
+	if tagged.Tier != TierMem || tagged.Tag != "again" {
+		t.Fatalf("tagged request on the non-owner: tier %q tag %q, want mem/again", tagged.Tier, tagged.Tag)
+	}
+	if got := owner.srv.Stats().ProxiedIn - proxied; got != 2 {
+		t.Fatalf("tagged request reached the owner: proxied_in grew by %d, want 2", got)
 	}
 }

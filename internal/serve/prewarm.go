@@ -82,7 +82,11 @@ func (s *Server) prewarmLoop(reason string) {
 // prewarmRun executes one pass over every ring peer.
 func (s *Server) prewarmRun(reason string) {
 	start := time.Now()
-	held := s.heldFingerprints()
+	// Everything a local tier holds needs no pulling.
+	held := map[string]struct{}{}
+	for _, fp := range s.transferKeys() {
+		held[fp] = struct{}{}
+	}
 	now := time.Now()
 	for _, peer := range s.ring.Nodes() {
 		if peer == s.ring.Self() {
@@ -117,7 +121,7 @@ func (s *Server) prewarmRun(reason string) {
 			}
 			want = want[len(batch):]
 			admitted, skipped, err := s.fetchPeerArtifacts(s.ctx, peer, batch, func(fp string, art *pipeline.CompiledArtifact) {
-				s.admitPrewarmed(fp, art)
+				s.publish(fp, art)
 				held[fp] = struct{}{}
 			})
 			s.prewarmAdmitted.Add(int64(admitted))
@@ -133,32 +137,6 @@ func (s *Server) prewarmRun(reason string) {
 	s.prewarmLastMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.prewarmMu.Unlock()
 	s.prewarmRuns.Add(1)
-}
-
-// heldFingerprints is the set of fingerprints already present in a local
-// tier — nothing in it needs pulling.
-func (s *Server) heldFingerprints() map[string]struct{} {
-	held := map[string]struct{}{}
-	for _, fp := range s.cache.Keys() {
-		held[fp] = struct{}{}
-	}
-	if s.store != nil {
-		for _, fp := range s.store.Keys() {
-			held[fp] = struct{}{}
-		}
-	}
-	return held
-}
-
-// admitPrewarmed publishes one verified artifact to the local tiers, the
-// same admission a cold solve performs.
-func (s *Server) admitPrewarmed(fp string, art *pipeline.CompiledArtifact) {
-	s.cache.Put(fp, art)
-	if s.store != nil {
-		if err := s.store.Put(fp, art); err != nil {
-			s.storeErrors.Add(1)
-		}
-	}
 }
 
 // PrewarmStats snapshots the prewarm engine's counters.

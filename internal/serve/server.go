@@ -38,14 +38,9 @@ type Config struct {
 	// compile-only, so Shots/Mitigate are forced off and Noise is left to
 	// the per-device ground truth.
 	Pipeline pipeline.Config
-	// CacheBytes bounds the in-memory artifact cache (DefaultCacheBytes
-	// when 0).
+	// CacheBytes bounds the memory tier — artifacts, their encoded replies
+	// and request aliases together (DefaultCacheBytes when 0).
 	CacheBytes int64
-	// RespCacheBytes bounds the encoded-response tier in front of the
-	// artifact cache (DefaultRespCacheBytes when 0). Negative disables the
-	// tier and the request→fingerprint memo with it — every request then
-	// pays parse + canonicalize + marshal as it did before the tier existed.
-	RespCacheBytes int64
 	// StoreDir, when non-empty, enables the persistent disk tier below the
 	// memory cache: artifacts spill to one checksummed file each, so a
 	// restarted daemon serves warm hits without re-solving. StoreBytes
@@ -97,7 +92,7 @@ type Config struct {
 	PeerIdleConns int
 	// PeerTransport overrides the peer-proxy HTTP transport. Fault
 	// injection (internal/faultinject) wraps NewPeerTransport here; nil
-	// selects NewPeerTransportPool(PeerTimeout, PeerIdleConns).
+	// selects NewPeerTransport(PeerTimeout, PeerIdleConns).
 	PeerTransport http.RoundTripper
 	// DisablePrewarm turns off the join/epoch-flip prewarm engine (tests
 	// and single-purpose tooling; production fleets want it on).
@@ -132,14 +127,10 @@ const DefaultPeerIdleConns = 64
 // NewPeerTransport returns the default peer-proxy transport: bounded dial,
 // TLS handshake and response-header waits, so a hung or dead peer is
 // detected at the transport layer instead of pinning the request until the
-// server's write timeout. headerTimeout <= 0 selects DefaultPeerTimeout.
-func NewPeerTransport(headerTimeout time.Duration) http.RoundTripper {
-	return NewPeerTransportPool(headerTimeout, 0)
-}
-
-// NewPeerTransportPool is NewPeerTransport with an explicit per-host
-// keep-alive pool size (DefaultPeerIdleConns when idleConns <= 0).
-func NewPeerTransportPool(headerTimeout time.Duration, idleConns int) http.RoundTripper {
+// server's write timeout, and a per-host keep-alive pool of idleConns.
+// headerTimeout <= 0 selects DefaultPeerTimeout, idleConns <= 0
+// DefaultPeerIdleConns.
+func NewPeerTransport(headerTimeout time.Duration, idleConns int) http.RoundTripper {
 	if headerTimeout <= 0 {
 		headerTimeout = DefaultPeerTimeout
 	}
@@ -228,12 +219,14 @@ type CompileResponse struct {
 	Solve     string  `json:"solve,omitempty"`
 	QASM      string  `json:"qasm"`
 
-	// encoded, when set, is the response's exact JSON wire form (trailing
-	// newline included): the HTTP layer writes it verbatim with a
-	// Content-Length instead of re-marshalling. Responses served out of the
-	// response-bytes tier are shared between requests and must be treated
-	// as immutable by everything downstream of compile.
+	// encoded, when set, is the untagged response's exact JSON wire form
+	// (trailing newline included) and tagAt the offset where a non-empty
+	// Tag's field goes: the HTTP layer writes it with a Content-Length
+	// instead of re-marshalling. Responses and bytes served out of the
+	// memory tier are shared between requests and must be treated as
+	// immutable by everything downstream of compile.
 	encoded []byte
+	tagAt   int
 }
 
 // EpochRequest is the POST /epoch JSON body: any subset of the triple;
@@ -310,30 +303,25 @@ type Stats struct {
 	// Self is this daemon's ring identity.
 	Self string   `json:"self,omitempty"`
 	Ring []string `json:"ring,omitempty"`
-	// Cache describes the memory tier; RespCache the encoded-response tier
-	// in front of it; Store the disk tier (nil when the daemon runs
-	// memory-only).
-	Cache     CacheStats     `json:"cache"`
-	RespCache RespCacheStats `json:"resp_cache"`
-	Store     *StoreStats    `json:"store,omitempty"`
-	Devices   []string       `json:"devices"`
+	// Cache describes the memory tier; Store the disk tier (nil when the
+	// daemon runs memory-only).
+	Cache   CacheStats  `json:"cache"`
+	Store   *StoreStats `json:"store,omitempty"`
+	Devices []string    `json:"devices"`
 	// Text is the human-readable rendering (pipeline stage table + tier and
 	// cache counters), the same string StatsString returns.
 	Text string `json:"text"`
 }
 
 // Server is the compilation service: a two-tier content-addressed artifact
-// cache (memory LRU over a persistent disk store) in front of per-device
-// compilation pipelines, with consistent-hash routing across peer daemons,
-// singleflight collapse of concurrent identical requests and a
-// SolvePool-backed admission queue for cold compiles. All methods are safe
-// for concurrent use.
+// cache (memory LRU of artifacts and replies over a persistent disk store)
+// in front of per-device compilation pipelines, with consistent-hash
+// routing across peer daemons, singleflight collapse of concurrent
+// identical requests and a SolvePool-backed admission queue for cold
+// compiles. All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
-	cache   *Cache
-	resp    *respCache    // nil when Config.RespCacheBytes < 0
-	memo    *fpMemo       // nil when Config.RespCacheBytes < 0
-	heat    peerHeat      // peer-hit counts driving non-owner reply replication
+	mem     *memTier
 	store   ArtifactStore // nil when Config.StoreDir is empty
 	ring    *Ring         // nil in single-node mode
 	client  *http.Client
@@ -401,10 +389,6 @@ type Server struct {
 	shed          atomic.Int64 // requests rejected by admission control
 	degraded      atomic.Int64 // compiles whose budget a caller deadline capped
 	epochFlips    atomic.Int64
-
-	// solveHook, when set (tests), runs at the start of every underlying
-	// cold compile, before the solver is invoked.
-	solveHook func()
 }
 
 // PeerConnStats is the /stats rendering of one peer's connection-reuse
@@ -465,12 +449,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	transport := cfg.PeerTransport
 	if transport == nil {
-		transport = NewPeerTransportPool(cfg.PeerTimeout, cfg.PeerIdleConns)
+		transport = NewPeerTransport(cfg.PeerTimeout, cfg.PeerIdleConns)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		cache:     NewCache(cfg.CacheBytes),
+		mem:       newMemTier(cfg.CacheBytes),
 		client:    &http.Client{Transport: transport},
 		admit:     core.NewSolvePool(cfg.MaxConcurrent),
 		started:   time.Now(),
@@ -480,10 +464,6 @@ func New(cfg Config) (*Server, error) {
 		breakers:  map[string]*Breaker{},
 		peerConns: map[string]*peerConnCounters{},
 		jitter:    rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if cfg.RespCacheBytes >= 0 {
-		s.resp = newRespCache(cfg.RespCacheBytes)
-		s.memo = newFpMemo(0)
 	}
 	s.defKey = engineKey(cfg.Spec, cfg.Seed, cfg.Day)
 	eng, err := s.engine(cfg.Spec, cfg.Seed, cfg.Day)
@@ -703,34 +683,17 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	}
 	dl, hasDL := deadlineOf(ctx, req)
 
-	// Warm fast path: the request's resolved identity has been seen before,
-	// so its fingerprint — and usually its fully encoded reply — are
-	// memoized. A hit skips parse, canonicalize, hash and marshal: the
-	// request becomes a lock-brief lookup plus one Write.
-	var mkey [memoKeySize]byte
-	haveMemo := false
-	if s.memo != nil && req.Source != "" {
-		mkey = memoKey(spec, seed, day, req.Source)
-		haveMemo = true
-		if fp, ok := s.memo.get(mkey); ok {
+	// Warm fast path: the request's resolved identity is an alias of a
+	// memory-tier entry, so a hit skips parse, canonicalize, hash and
+	// marshal — the request becomes one lock-brief lookup plus one Write.
+	var key aliasKey
+	if req.Source != "" {
+		key = memoKey(spec, seed, day, req.Source)
+		if fp, art, reply := s.mem.get("", key); fp != "" {
 			if hasDL && time.Until(dl) <= 0 {
-				return nil, &shedError{status: http.StatusGatewayTimeout,
-					msg: "deadline exhausted before compilation started"}
+				return nil, errDeadlineExhausted
 			}
-			if resp, ok := s.resp.get(fp, req.Tag); ok {
-				s.memHits.Add(1)
-				return resp, nil
-			}
-			if art, ok := s.cache.Get(fp); ok {
-				// Known fingerprint, artifact in memory, but no encoded reply
-				// under this tag yet: build and remember one.
-				s.memHits.Add(1)
-				resp := s.response(req, art, TierMem, false)
-				s.remember(mkey, fp, resp)
-				return resp, nil
-			}
-			// The artifact aged out of memory: fall through to the full
-			// cascade (disk → ring → solve), which re-derives everything.
+			return s.memHit(req, fp, key, art, reply), nil
 		}
 	}
 
@@ -746,33 +709,23 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 		return nil, &badRequestError{err}
 	}
 	if hasDL && time.Until(dl) <= 0 {
-		return nil, &shedError{status: http.StatusGatewayTimeout,
-			msg: "deadline exhausted before compilation started"}
+		return nil, errDeadlineExhausted
 	}
 	// Fingerprint canonicalizes internally; the cold path canonicalizes
 	// again inside Artifact, but the hot path pays for exactly one pass.
 	fp := eng.Fingerprint(circ)
-	if art, ok := s.cache.Get(fp); ok {
-		s.memHits.Add(1)
-		resp := s.response(req, art, TierMem, false)
-		if haveMemo {
-			s.remember(mkey, fp, resp)
-		}
-		return resp, nil
+	if _, art, reply := s.mem.get(fp, aliasKey{}); art != nil || reply != nil {
+		// A new spelling of a known circuit: it is an alias from now on.
+		s.mem.put(fp, key, nil, nil)
+		return s.memHit(req, fp, key, art, reply), nil
 	}
 	if s.store != nil {
 		if art, ok := s.store.Get(fp); ok {
 			s.diskHits.Add(1)
 			// Promote into the memory tier: repeated hits on a restarted
 			// daemon pay the decode exactly once.
-			s.cache.Put(fp, art)
-			resp := s.response(req, art, TierDisk, false)
-			if haveMemo {
-				// The reply the *next* identical request gets is a mem hit:
-				// cache that steady-state form, return the honest disk one.
-				s.remember(mkey, fp, s.response(req, art, TierMem, false))
-			}
-			return resp, nil
+			s.mem.put(fp, key, art, nil)
+			return s.response(req, art, TierDisk, false), nil
 		}
 	}
 	if s.ring != nil && !forwarded {
@@ -790,7 +743,12 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 				br.Report(perr == nil || isPeerClientError(perr), time.Now())
 				if perr == nil {
 					s.peerHits.Add(1)
-					s.rememberPeer(mkey, fp, haveMemo, req.Tag, resp)
+					// A reply the owner keeps serving us is hot: from the
+					// peerPromoteHits-th hit on, keep its steady-state form
+					// (a local mem hit) so repeats skip the ring hop.
+					if !resp.Degraded && resp.Fingerprint == fp && s.mem.peerHit(fp, key) >= peerPromoteHits {
+						s.mem.put(fp, key, nil, steady(*resp))
+					}
 					return resp, nil
 				}
 				// Owner unreachable (or failing): compute locally rather
@@ -807,58 +765,37 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	if err != nil {
 		return nil, err
 	}
+	if !degraded {
+		// coldCompile published the artifact; record this spelling (each
+		// collapsed follower may bring its own) as an alias of it.
+		s.mem.put(fp, key, art, nil)
+	}
 	resp := s.response(req, art, TierCold, shared)
 	resp.Degraded = degraded
-	if haveMemo && !degraded {
-		s.remember(mkey, fp, s.response(req, art, TierMem, false))
-	}
 	return resp, nil
 }
 
-// remember publishes a steady-state reply into the warm fast path: the
-// request identity is memoized to its fingerprint and the fully encoded
-// response is cached under (fingerprint, tag). resp must carry mem-tier
-// provenance (the tier a repeat request will actually be served from) and
-// is shared from here on — callers must not mutate it afterwards.
-func (s *Server) remember(mkey [memoKeySize]byte, fp string, resp *CompileResponse) {
-	if s.memo == nil || resp.Degraded {
-		return
+// memHit answers from a memory-tier entry: its shared steady-state reply,
+// built from the artifact and kept on first use. A tagged request gets a
+// copy carrying its tag, written out with the same encoded bytes.
+func (s *Server) memHit(req CompileRequest, fp string, key aliasKey, art *pipeline.CompiledArtifact, reply *CompileResponse) *CompileResponse {
+	s.memHits.Add(1)
+	if reply == nil {
+		reply = steady(*s.response(req, art, TierMem, false))
+		s.mem.put(fp, key, nil, reply)
 	}
-	if err := encodeResponse(resp); err != nil {
-		return
+	if req.Tag == "" {
+		return reply
 	}
-	s.memo.put(mkey, fp)
-	s.resp.put(resp)
+	tagged := *reply
+	tagged.Tag = req.Tag
+	return &tagged
 }
 
-// rememberPeer handles the proxied-reply variant of remember. The identity
-// memo is always safe (content addressing is fleet-global), but replicating
-// the reply bytes on a non-owner is reserved for fingerprints that keep
-// getting peer-served (peerPromoteHits): the first hit stays a pure proxy,
-// so cold keys don't bloat the local tier and provenance stays honest, while
-// hot keys stop paying the ring hop. The cached copy is rewritten to the
-// local steady state — a mem-tier cache hit — because that is what it
-// becomes the moment it lands in the response tier.
-func (s *Server) rememberPeer(mkey [memoKeySize]byte, fp string, haveMemo bool, tag string, resp *CompileResponse) {
-	if s.memo == nil || !haveMemo || resp.Degraded || resp.Fingerprint != fp {
-		return
-	}
-	s.memo.put(mkey, fp)
-	if s.heat.bump(fp) < peerPromoteHits {
-		return
-	}
-	proto := *resp
-	proto.Tier = TierMem
-	proto.PeerTier = ""
-	proto.Cached = true
-	proto.Collapsed = false
-	proto.Tag = tag
-	proto.encoded = nil
-	if err := encodeResponse(&proto); err != nil {
-		return
-	}
-	s.resp.put(&proto)
-}
+// errDeadlineExhausted sheds a request whose deadline passed before any
+// compile work started.
+var errDeadlineExhausted = &shedError{status: http.StatusGatewayTimeout,
+	msg: "deadline exhausted before compilation started"}
 
 // breaker returns (lazily creating) the circuit breaker for one ring peer.
 func (s *Server) breaker(owner string) *Breaker {
@@ -1098,9 +1035,6 @@ func (s *Server) coldCompile(circ *circuit.Circuit, fp string, eng *pipeline.Pip
 			return nil, false, err
 		}
 	}
-	if s.solveHook != nil {
-		s.solveHook()
-	}
 	preq := pipeline.Request{Circuit: circ}
 	degraded := false
 	if hasDL {
@@ -1133,15 +1067,20 @@ func (s *Server) coldCompile(circ *circuit.Circuit, fp string, eng *pipeline.Pip
 		// unhurried request computes (and caches) the real thing.
 		return art, true, nil
 	}
-	s.cache.Put(fp, art)
+	s.publish(fp, art)
+	return art, false, nil
+}
+
+// publish admits an artifact to the memory tier and spills it to the disk
+// tier. The spill is best effort: a full disk must not fail the work that
+// produced the artifact. Failures are counted, not hidden.
+func (s *Server) publish(fp string, art *pipeline.CompiledArtifact) {
+	s.mem.put(fp, aliasKey{}, art, nil)
 	if s.store != nil {
-		// Best-effort spill: a full disk must not fail the compile the
-		// solver just paid for. Failures are counted, not hidden.
 		if err := s.store.Put(fp, art); err != nil {
 			s.storeErrors.Add(1)
 		}
 	}
-	return art, false, nil
 }
 
 func (s *Server) response(req CompileRequest, art *pipeline.CompiledArtifact, tier string, collapsed bool) *CompileResponse {
@@ -1256,8 +1195,7 @@ func (s *Server) Stats() Stats {
 		StoreErrors:   s.storeErrors.Load(),
 		Epoch:         epoch,
 		EpochFlips:    s.epochFlips.Load(),
-		Cache:         s.cache.Stats(),
-		RespCache:     s.respCacheStats(),
+		Cache:         s.mem.stats(),
 		Devices:       devices,
 		Text:          s.StatsString(),
 	}
@@ -1291,19 +1229,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// respCacheStats snapshots the response tier (zero-valued when disabled).
-func (s *Server) respCacheStats() RespCacheStats {
-	if s.resp == nil {
-		return RespCacheStats{}
-	}
-	st := s.resp.stats()
-	st.MemoEntries = s.memo.len()
-	s.memo.mu.Lock()
-	st.MemoHits, st.MemoMisses = s.memo.hits, s.memo.misses
-	s.memo.mu.Unlock()
-	return st
-}
-
 // StatsString renders the service statistics: the per-device pipeline stage
 // tables (cold compiles only — hits never touch a stage), the cache and
 // hit-tier counters, and — when configured — the disk tier, epoch and ring
@@ -1326,18 +1251,13 @@ func (s *Server) StatsString() string {
 		fmt.Fprintf(&sb, "device %s:\n", k)
 		sb.WriteString(engines[i].StatsString())
 	}
-	cs := s.cache.Stats()
-	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d/%d bytes  %d evictions\n",
+	cs := s.mem.stats()
+	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d aliases  %d/%d bytes  %d evictions\n",
 		cs.Hits, cs.Misses, s.collapsed.Load(), s.inflight.Load(), s.solves.Load(),
-		cs.Entries, cs.Bytes, cs.MaxBytes, cs.Evictions)
+		cs.Entries, cs.Aliases, cs.Bytes, cs.MaxBytes, cs.Evictions)
 	fmt.Fprintf(&sb, "tiers: %d mem  %d disk  %d peer  %d cold solves  (%d peer fallbacks, %d proxied in)\n",
 		s.memHits.Load(), s.diskHits.Load(), s.peerHits.Load(), s.solves.Load(),
 		s.peerFallbacks.Load(), s.proxiedIn.Load())
-	if rc := s.respCacheStats(); s.resp != nil {
-		fmt.Fprintf(&sb, "respcache: %d entries  %d/%d bytes  %d hits  %d misses  %d evictions  (memo: %d entries  %d hits  %d misses)\n",
-			rc.Entries, rc.Bytes, rc.MaxBytes, rc.Hits, rc.Misses, rc.Evictions,
-			rc.MemoEntries, rc.MemoHits, rc.MemoMisses)
-	}
 	if s.store != nil {
 		ss := s.store.Stats()
 		fmt.Fprintf(&sb, "store: %d entries  %d/%d bytes  %d hits  %d misses  %d writes  %d evictions  %d quarantined  (%s)\n",
@@ -1507,12 +1427,18 @@ var (
 )
 
 // writeJSON writes v as a JSON body with an explicit Content-Length — a
-// pre-encoded CompileResponse verbatim, everything else marshalled through
-// a pooled buffer — so replies (peer-proxied ones included) go out in one
-// sized frame instead of a chunked stream.
+// pre-encoded CompileResponse verbatim (a tagged one with its tag field
+// spliced in at tagAt), everything else marshalled through a pooled buffer
+// — so replies (peer-proxied ones included) go out in one sized frame
+// instead of a chunked stream.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	if resp, ok := v.(*CompileResponse); ok && len(resp.encoded) > 0 {
-		writeRawJSON(w, status, resp.encoded)
+		if resp.Tag == "" {
+			writeRawJSON(w, status, resp.encoded)
+			return
+		}
+		tag, _ := json.Marshal(resp.Tag) // a string always marshals
+		writeRawJSON(w, status, resp.encoded[:resp.tagAt], tagField, tag, resp.encoded[resp.tagAt:])
 		return
 	}
 	buf := jsonBufPool.Get().(*bytes.Buffer)
@@ -1526,10 +1452,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	jsonBufPool.Put(buf)
 }
 
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+var tagField = []byte(`,"tag":`)
+
+// writeRawJSON writes the concatenation of parts as one JSON body.
+func writeRawJSON(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return
+		}
+	}
 }

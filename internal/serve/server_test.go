@@ -41,12 +41,19 @@ measure q[12] -> c[1];
 
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
+	return newTestServerHook(t, nil)
+}
+
+// newTestServerHook is newTestServer with Config.SolveHook set to hook.
+func newTestServerHook(t *testing.T, hook func(context.Context) error) *Server {
+	t.Helper()
 	s, err := New(Config{
 		Spec: "poughkeepsie",
 		Seed: 1,
 		Pipeline: pipeline.Config{
 			Budget: 5 * time.Second,
 		},
+		SolveHook: hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,16 +142,17 @@ func TestDistinctKeysAcrossDeviceDayConfig(t *testing.T) {
 // requests must execute exactly one underlying solve — the acceptance
 // criterion of the serving layer (run under -race in CI).
 func TestSingleflightCollapsesConcurrentRequests(t *testing.T) {
-	s := newTestServer(t)
 	const n = 8
 	// The leader's solve blocks until the other n-1 requests have joined
 	// its flight (or 10s passes), making the collapse deterministic.
-	s.solveHook = func() {
+	var s *Server
+	s = newTestServerHook(t, func(context.Context) error {
 		deadline := time.Now().Add(10 * time.Second)
 		for s.collapsed.Load() < n-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-	}
+		return nil
+	})
 	var wg sync.WaitGroup
 	resps := make([]*CompileResponse, n)
 	errs := make([]error, n)
@@ -263,14 +271,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	stResp.Body.Close()
-	// The two warm repeats are mem-tier hits served out of the encoded
-	// response tier (the artifact cache itself is only consulted on the
-	// first, missing, request).
+	// The two warm repeats are memory-tier hits (the first request missed).
 	if st.MemHits < 2 || st.Cache.Misses < 1 || st.Solves != 1 {
 		t.Fatalf("stats counters off: %+v", st)
 	}
-	if st.RespCache.Hits < 2 {
-		t.Fatalf("warm repeats bypassed the response tier: %+v", st.RespCache)
+	if st.Cache.Hits < 2 {
+		t.Fatalf("warm repeats bypassed the memory tier: %+v", st.Cache)
 	}
 	if !strings.Contains(st.Text, "cache:") || !strings.Contains(st.Text, "schedule") {
 		t.Fatalf("StatsString missing cache line or stage table:\n%s", st.Text)

@@ -67,7 +67,7 @@ func (s *Server) transferKeys() []string {
 			keys = append(keys, fp)
 		}
 	}
-	for _, fp := range s.cache.Keys() {
+	for _, fp := range s.mem.keys() {
 		if _, ok := seen[fp]; !ok {
 			keys = append(keys, fp)
 		}
@@ -152,7 +152,7 @@ func (s *Server) rawArtifact(fp string) (rawFrame, bool) {
 			return rawFrame{bytes: b}, true
 		}
 	}
-	if art, ok := s.cache.Get(fp); ok {
+	if _, art, _ := s.mem.get(fp, aliasKey{}); art != nil {
 		bp := frameBufPool.Get().(*[]byte)
 		enc := art.AppendBinary((*bp)[:0])
 		return rawFrame{bytes: enc, pool: bp}, true

@@ -98,7 +98,7 @@ import json, os, sys
 d = json.load(open(sys.argv[1]))
 assert d["requests"] > 0 and d["errors"] == 0, d
 # The restart's disk warm hits land in the ramp-up window (each fingerprint
-# pays disk exactly once, then the response tier owns it), so check the
+# pays disk exactly once, then the memory tier owns it), so check the
 # daemon's cumulative counter rather than the measured-window samples.
 disk_hits = (d.get("daemon_stats") or {}).get("disk_hits", 0)
 assert "disk" in d["tiers"] or disk_hits > 0, \

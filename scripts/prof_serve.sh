@@ -1,8 +1,8 @@
 #!/bin/sh
 # prof_serve.sh — measure-first profiling harness for the serving warm path.
 #
-# Runs BenchmarkServeMemHit (a real net/http round trip against the
-# fingerprint memo + encoded-response tier) under the Go CPU and heap
+# Runs BenchmarkServeMemHit (a real net/http round trip against the memory
+# tier's request aliases and pre-encoded replies) under the Go CPU and heap
 # profilers, then prints
 #
 #   1. the benchmark line (ns/op, B/op, allocs/op — the allocation budget

@@ -191,10 +191,10 @@ func TestDiskWarmHitSpeedup(t *testing.T) {
 }
 
 // BenchmarkServeMemHit measures the full warm-path round trip — HTTP POST,
-// fingerprint memo, encoded-response tier, single socket write — through a
-// real net/http server. This is the serving profile the response-bytes tier
-// exists for: the cold heavyhex:27 solve is paid once in setup, then every
-// iteration must be a memory hit that re-serves the same pre-encoded bytes.
+// request-alias lookup in the memory tier, single socket write of the
+// pre-encoded reply — through a real net/http server: the cold heavyhex:27
+// solve is paid once in setup, then every iteration must be a memory hit
+// that re-serves the same pre-encoded bytes.
 func BenchmarkServeMemHit(b *testing.B) {
 	s := newServeBenchServer(b)
 	ts := httptest.NewServer(s.Handler())
