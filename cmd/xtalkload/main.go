@@ -1,27 +1,21 @@
-// Command xtalkload is the trace-replay load generator for xtalkd: it
-// builds a zoo of workload circuits (SWAP / QAOA / Hidden Shift /
-// supremacy-style, sized to each target device), replays Zipf-repeated
-// submissions against a running daemon with configurable concurrency and
-// day churn, and reports the serving-latency distribution split by hit
-// tier (mem / disk / peer / cold) together with hit rate, collapse counts
-// and solver-queue saturation sampled from /stats.
+// Command xtalkload is the smoke and chaos client for xtalkd: it builds a
+// zoo of workload circuits (SWAP / QAOA / Hidden Shift, sized to each
+// target device), replays a fixed Zipf-repeated trace of them against a
+// running daemon from concurrent clients, and reports how many requests
+// succeeded and how the failures split by class (4xx / 5xx / transport).
 //
 // Usage:
 //
-//	xtalkload -addr 127.0.0.1:8077 -duration 10s -warmup 2s -c 8 -out BENCH_serve.json
-//	xtalkload -addr 127.0.0.1:8077 -n 50 -devices heavyhex:27 -days 2 -zipf 1.3
+//	xtalkload -addr 127.0.0.1:8077 -devices heavyhex:27 -n 10 -jobs 4 -c 2 -out load.json
 //	xtalkload -addr 127.0.0.1:8077 -n 40 -chaos -require-avail 1.0
 //
-// The output JSON (BENCH_serve.json by convention) carries per-tier
-// p50/p95/p99, so a cold SMT solve and a disk hit on the same fingerprint
-// are never averaged into one meaningless number. Errors are split by class
-// (4xx / 5xx / transport) so chaos runs are measurable.
-//
-// -chaos turns the generator into an availability prober for fault-injected
+// -chaos turns the client into an availability prober for fault-injected
 // fleets: retryable failures (429/503/5xx/transport) are retried with
-// backoff honoring Retry-After, the report gains retry/availability fields,
-// and -require-avail N fails the run (exit 1) when the fraction of trace
-// items that eventually succeeded falls below N.
+// backoff honoring Retry-After, and -require-avail N fails the run (exit 1)
+// when the fraction of trace items that eventually succeeded falls below N.
+//
+// Serving latency and throughput are measured by perfbench
+// (python3 perfbench/run.py --workload warm_serve), not here.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,198 +40,104 @@ import (
 	"xtalk/internal/workloads"
 )
 
+// The trace is fixed so every run replays the same requests: calibration
+// seed 1 (which also seeds the Zipf draw), day 0, a swap/qaoa/hs mix.
+const (
+	traceSeed    = 1
+	traceZipf    = 1.2
+	chaosRetries = 8
+	reqTimeout   = 2 * time.Minute
+)
+
+var traceKinds = []string{"swap", "qaoa", "hs"}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8077", "daemon address (host:port)")
 		devices  = flag.String("devices", "poughkeepsie", "comma-separated device specs to spread the trace over")
-		seed     = flag.Int64("seed", 1, "device calibration seed (also seeds the trace RNG)")
-		days     = flag.Int("days", 1, "calibration-day churn: jobs spread over days 0..days-1")
-		mix      = flag.String("mix", "swap,qaoa,hs", "workload mix: any of swap,qaoa,hs,sup")
-		jobs     = flag.Int("jobs", 24, "distinct trace jobs (circuit x device x day) in the zoo")
-		zipfS    = flag.Float64("zipf", 1.2, "Zipf exponent for repeated submissions (>1; larger = hotter head)")
+		jobs     = flag.Int("jobs", 24, "distinct trace jobs (circuit x device) in the zoo")
 		conc     = flag.Int("c", 8, "concurrent clients")
-		n        = flag.Int("n", 0, "total requests (0 = run for -duration)")
-		duration = flag.Duration("duration", 10*time.Second, "run length when -n is 0")
-		warmup   = flag.Duration("warmup", 0, "ramp-up window excluded from percentile/throughput accounting (runs before -duration)")
-		timeout  = flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-		out      = flag.String("out", "BENCH_serve.json", "result JSON path (- for stdout)")
+		n        = flag.Int("n", 50, "total requests")
+		out      = flag.String("out", "-", "result JSON path (- for stdout)")
 		chaos    = flag.Bool("chaos", false, "availability-probe mode: retry retryable failures (429/503/5xx/transport) with backoff, honoring Retry-After")
-		retries  = flag.Int("chaos-retries", 8, "max retries per trace item in -chaos mode")
 		reqAvail = flag.Float64("require-avail", 0, "minimum availability (eventually-succeeded fraction); below it the run exits 1")
 	)
 	flag.Parse()
-	opts := loadOpts{
-		devCSV: *devices, mixCSV: *mix, seed: *seed, days: *days,
-		jobCount: *jobs, zipfS: *zipfS, conc: *conc, n: *n,
-		duration: *duration, warmup: *warmup, timeout: *timeout, out: *out,
-		chaos: *chaos, chaosRetries: *retries, requireAvail: *reqAvail,
-	}
-	if err := run(*addr, opts); err != nil {
+	if err := run(*addr, *devices, *jobs, *conc, *n, *out, *chaos, *reqAvail); err != nil {
 		fmt.Fprintln(os.Stderr, "xtalkload:", err)
 		os.Exit(1)
 	}
 }
 
-// loadOpts bundles the CLI knobs run consumes.
-type loadOpts struct {
-	devCSV, mixCSV string
-	seed           int64
-	days, jobCount int
-	zipfS          float64
-	conc, n        int
-	duration       time.Duration
-	warmup         time.Duration
-	timeout        time.Duration
-	out            string
-	chaos          bool
-	chaosRetries   int
-	requireAvail   float64
-}
-
-// job is one entry of the trace zoo: a source program pinned to an explicit
-// device/seed/day triple (explicit so the daemon's default epoch cannot
-// skew the trace).
-type job struct {
-	kind string
-	req  serve.CompileRequest
-	// body is the request pre-marshaled once at zoo-build time: the hot
-	// submit loop must measure the daemon, not the generator's JSON encoder.
-	body []byte
-}
-
-// buildZoo generates count jobs round-robined over devices, workload kinds
-// and days. Generation is deterministic in (seed, devices, mix, days,
-// count): two xtalkload runs replay the same trace.
-func buildZoo(devSpecs, kinds []string, seed int64, days, count int) ([]job, error) {
-	type devEntry struct {
-		spec string
-		dev  *device.Device
-	}
-	devs := make([]devEntry, 0, len(devSpecs))
-	for _, spec := range devSpecs {
-		d, err := device.NewFromSpecForDay(spec, seed, 0)
+// buildZoo generates count pre-marshaled compile requests round-robined
+// over devices and workload kinds, each pinned to an explicit seed and day
+// so the daemon's default epoch cannot skew the trace.
+func buildZoo(devSpecs []string, count int) ([][]byte, error) {
+	devs := make([]*device.Device, len(devSpecs))
+	for i, spec := range devSpecs {
+		d, err := device.NewFromSpecForDay(spec, traceSeed, 0)
 		if err != nil {
 			return nil, fmt.Errorf("device %q: %w", spec, err)
 		}
-		devs = append(devs, devEntry{spec, d})
+		devs[i] = d
 	}
-	zoo := make([]job, 0, count)
+	zoo := make([][]byte, 0, count)
 	for i := 0; len(zoo) < count; i++ {
-		de := devs[i%len(devs)]
-		kind := kinds[(i/len(devs))%len(kinds)]
-		day := (i / (len(devs) * len(kinds))) % days
-		topo := de.dev.Topo
-		var (
-			circSrc string
-			err     error
-		)
-		switch kind {
-		case "swap":
-			// Stretch the SWAP distance with the variant index for distinct
-			// fingerprints.
-			b := 1 + (i/2)%(topo.NQubits-1)
-			c, e := workloads.SwapCircuit(topo, 0, b)
-			if e != nil {
-				err = e
-			} else {
-				circSrc = qasm.Dump(c)
-			}
-		case "qaoa":
-			c, _, e := workloads.QAOAChainCircuit(topo, 4, seed+int64(i))
-			if e != nil {
-				err = e
-			} else {
-				circSrc = qasm.Dump(c)
-			}
-		case "hs":
-			chain, e := workloads.Chain(topo, 4)
-			if e != nil {
-				err = e
-				break
-			}
-			c, _, e := workloads.HiddenShiftCircuit(topo, chain, uint(i%16), i%2 == 1)
-			if e != nil {
-				err = e
-			} else {
-				circSrc = qasm.Dump(c)
-			}
-		case "sup":
-			nq := topo.NQubits
-			if nq > 12 {
-				nq = 12
-			}
-			c, e := workloads.SupremacyCircuit(topo, nq, 40, seed+int64(i))
-			if e != nil {
-				err = e
-			} else {
-				circSrc = qasm.Dump(c)
-			}
-		default:
-			return nil, fmt.Errorf("unknown workload kind %q (want swap,qaoa,hs,sup)", kind)
-		}
+		topo := devs[i%len(devs)].Topo
+		kind := traceKinds[(i/len(devs))%len(traceKinds)]
+		src, err := jobSource(kind, topo, i)
 		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", kind, de.spec, err)
+			return nil, fmt.Errorf("%s on %s: %w", kind, devSpecs[i%len(devs)], err)
 		}
-		s, d := seed, day
-		zoo = append(zoo, job{kind: kind, req: serve.CompileRequest{
-			Source: circSrc,
-			Device: de.spec,
-			Seed:   &s,
-			Day:    &d,
-		}})
+		seed, day := int64(traceSeed), 0
+		body, err := json.Marshal(serve.CompileRequest{
+			Source: src, Device: devSpecs[i%len(devs)], Seed: &seed, Day: &day,
+		})
+		if err != nil {
+			return nil, err
+		}
+		zoo = append(zoo, body)
 	}
 	return zoo, nil
 }
 
-// sample is one completed request; done timestamps it so a ramp-up window
-// can be carved off after the fact.
-type sample struct {
-	tier      string
-	peerTier  string
-	latency   time.Duration
-	done      time.Time
-	collapsed bool
-	degraded  bool
+// jobSource is the QASM of variant i of a workload kind on topo; the
+// variant index keeps fingerprints distinct.
+func jobSource(kind string, topo *device.Topology, i int) (string, error) {
+	switch kind {
+	case "swap":
+		c, err := workloads.SwapCircuit(topo, 0, 1+(i/2)%(topo.NQubits-1))
+		if err != nil {
+			return "", err
+		}
+		return qasm.Dump(c), nil
+	case "qaoa":
+		c, _, err := workloads.QAOAChainCircuit(topo, 4, traceSeed+int64(i))
+		if err != nil {
+			return "", err
+		}
+		return qasm.Dump(c), nil
+	default: // "hs"
+		chain, err := workloads.Chain(topo, 4)
+		if err != nil {
+			return "", err
+		}
+		c, _, err := workloads.HiddenShiftCircuit(topo, chain, uint(i%16), i%2 == 1)
+		if err != nil {
+			return "", err
+		}
+		return qasm.Dump(c), nil
+	}
 }
 
-// TierReport is the latency distribution of one hit tier.
-type TierReport struct {
-	Count  int     `json:"count"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// SaturationReport summarizes the solver admission queue over the run,
-// sampled from GET /stats: MeanInflight near MaxConcurrent means the
-// daemon ran solver-bound; SaturatedFrac is the fraction of samples with
-// every solver slot busy.
-type SaturationReport struct {
-	Samples       int     `json:"samples"`
-	MaxConcurrent int     `json:"max_concurrent"`
-	MeanInflight  float64 `json:"mean_inflight"`
-	MaxInflight   int64   `json:"max_inflight"`
-	SaturatedFrac float64 `json:"saturated_frac"`
-}
-
-// Report is the BENCH_serve.json document.
+// Report is the result document.
 type Report struct {
-	Addr      string  `json:"addr"`
-	Devices   string  `json:"devices"`
-	Mix       string  `json:"mix"`
-	Jobs      int     `json:"jobs"`
-	Days      int     `json:"days"`
-	Zipf      float64 `json:"zipf"`
-	Clients   int     `json:"clients"`
-	DurationS float64 `json:"duration_s"`
-	// WarmupS/WarmupRequests record the ramp-up split: requests finishing
-	// inside the first WarmupS seconds are excluded from Requests, every
-	// percentile, and Throughput (whose clock starts after the warmup).
-	WarmupS        float64 `json:"warmup_s,omitempty"`
-	WarmupRequests int     `json:"warmup_requests,omitempty"`
-	Requests       int     `json:"requests"`
+	Addr    string `json:"addr"`
+	Devices string `json:"devices"`
+	Jobs    int    `json:"jobs"`
+	Clients int    `json:"clients"`
+	// Requests counts trace items that produced a successful response.
+	Requests int `json:"requests"`
 	// Errors is the total error occurrences across all attempts, split by
 	// class below: client-side rejections (4xx, includes shed 429s),
 	// server-side failures (5xx, includes draining 503s), and transport
@@ -247,241 +146,104 @@ type Report struct {
 	Errors4xx       int64 `json:"errors_4xx"`
 	Errors5xx       int64 `json:"errors_5xx"`
 	ErrorsTransport int64 `json:"errors_transport"`
-	// ErrorRate is the fraction of trace items that never produced a
-	// successful response (after retries in -chaos mode); Availability is
-	// its complement — the chaos gate.
-	ErrorRate    float64 `json:"error_rate"`
+	// Failed counts trace items that never succeeded (after retries in
+	// -chaos mode); Availability is the fraction that did — the chaos gate.
+	Failed       int64   `json:"failed"`
 	Availability float64 `json:"availability"`
-	// Chaos mode provenance: whether retries were on, how many fired, how
-	// many items ultimately failed, and how many responses carried the
-	// degraded (deadline-capped solve) flag.
-	Chaos      bool    `json:"chaos,omitempty"`
-	Retries    int64   `json:"retries,omitempty"`
-	Failed     int64   `json:"failed"`
-	Degraded   int     `json:"degraded"`
-	Throughput float64 `json:"requests_per_s"`
-	// HitRate counts requests served without any solver work anywhere in
-	// the fleet: mem and disk hits locally, plus peer responses the owner
-	// itself served from a cache tier.
-	HitRate   float64               `json:"hit_rate"`
-	Collapsed int                   `json:"collapsed"`
-	Tiers     map[string]TierReport `json:"tiers"`
-	// PeerServedBy splits peer-tier requests by the tier the owning daemon
-	// served from.
-	PeerServedBy map[string]int   `json:"peer_served_by,omitempty"`
-	Saturation   SaturationReport `json:"saturation"`
-	// DaemonStats is the target daemon's /stats snapshot at the end of the
-	// run (counters include any traffic before the run).
-	DaemonStats *serve.Stats `json:"daemon_stats,omitempty"`
+	Chaos        bool    `json:"chaos,omitempty"`
+	Retries      int64   `json:"retries,omitempty"`
 }
 
-func run(addr string, o loadOpts) error {
-	if o.days < 1 {
-		o.days = 1
+func run(addr, devCSV string, jobs, conc, n int, out string, chaos bool, requireAvail float64) error {
+	devSpecs := splitCSV(devCSV)
+	if len(devSpecs) == 0 || jobs < 1 || conc < 1 || n < 1 {
+		return fmt.Errorf("need at least one device and -jobs, -c, -n >= 1")
 	}
-	devSpecs := splitCSV(o.devCSV)
-	kinds := splitCSV(o.mixCSV)
-	if len(devSpecs) == 0 || len(kinds) == 0 {
-		return fmt.Errorf("need at least one device and one workload kind")
-	}
-	zoo, err := buildZoo(devSpecs, kinds, o.seed, o.days, o.jobCount)
+	zoo, err := buildZoo(devSpecs, jobs)
 	if err != nil {
 		return err
 	}
-	for i := range zoo {
-		if zoo[i].body, err = json.Marshal(zoo[i].req); err != nil {
-			return err
-		}
-	}
 	base := "http://" + strings.TrimPrefix(addr, "http://")
-	// The default transport keeps only 2 idle connections per host; above
-	// that concurrency every request pays a fresh dial and the generator
-	// measures its own TCP handshakes. Size the pool to the client count.
-	client := &http.Client{Timeout: o.timeout, Transport: &http.Transport{
-		MaxIdleConns:        2 * o.conc,
-		MaxIdleConnsPerHost: o.conc + 1, // workers + the /stats sampler
-	}}
+	client := &http.Client{Timeout: reqTimeout, Transport: &http.Transport{MaxIdleConnsPerHost: conc}}
 
 	// The Zipf stream is drawn up front under one RNG so the trace is
 	// deterministic regardless of worker interleaving.
-	rng := rand.New(rand.NewSource(o.seed))
-	zipf := rand.NewZipf(rng, o.zipfS, 1, uint64(len(zoo)-1))
-	deadline := time.Now().Add(o.warmup + o.duration)
-	next := make(chan int, o.conc)
-	go func() {
-		defer close(next)
-		for i := 0; o.n == 0 || i < o.n; i++ {
-			if o.n == 0 && time.Now().After(deadline) {
-				return
-			}
-			next <- int(zipf.Uint64())
-		}
-	}()
-
-	// Saturation sampler: poll /stats while the trace runs.
-	satStop := make(chan struct{})
-	var satMu sync.Mutex
-	var satSamples []serve.Stats
-	go func() {
-		tick := time.NewTicker(200 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-satStop:
-				return
-			case <-tick.C:
-				if st, err := fetchStats(client, base); err == nil {
-					satMu.Lock()
-					satSamples = append(satSamples, *st)
-					satMu.Unlock()
-				}
-			}
-		}
-	}()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(traceSeed)), traceZipf, 1, uint64(len(zoo)-1))
+	next := make(chan int, n)
+	for i := 0; i < n; i++ {
+		next <- int(zipf.Uint64())
+	}
+	close(next)
 
 	var (
-		mu       sync.Mutex
-		samples  []sample
-		errs4xx  atomic.Int64
-		errs5xx  atomic.Int64
-		errsConn atomic.Int64
-		retried  atomic.Int64
-		failed   atomic.Int64
-		wg       sync.WaitGroup
+		ok, errs4xx, errs5xx, errsConn, retried atomic.Int64
+		wg                                      sync.WaitGroup
 	)
-	record := func(err error) {
-		var he *httpError
-		switch {
-		case errors.As(err, &he) && he.status >= 400 && he.status < 500:
-			errs4xx.Add(1)
-		case errors.As(err, &he):
-			errs5xx.Add(1)
-		default:
-			errsConn.Add(1)
-		}
+	attempts := 1
+	if chaos {
+		attempts += chaosRetries
 	}
-	t0 := time.Now()
-	for w := 0; w < o.conc; w++ {
+	for w := 0; w < conc; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				attempts := 1
-				if o.chaos {
-					attempts = 1 + o.chaosRetries
-				}
-				var (
-					s   sample
-					err error
-				)
+				var err error
 				for a := 0; a < attempts; a++ {
 					if a > 0 {
 						retried.Add(1)
 					}
-					s, err = submit(client, base, zoo[idx].body)
-					if err == nil {
+					if err = submit(client, base, zoo[idx]); err == nil {
 						break
 					}
-					record(err)
-					if !o.chaos || !retryable(err) {
+					var he *httpError
+					switch {
+					case errors.As(err, &he) && he.status >= 400 && he.status < 500:
+						errs4xx.Add(1)
+					case errors.As(err, &he):
+						errs5xx.Add(1)
+					default:
+						errsConn.Add(1)
+					}
+					if !chaos || !retryable(err) {
 						break
 					}
 					time.Sleep(retryDelay(err, a))
 				}
-				if err != nil {
-					failed.Add(1)
-					continue
+				if err == nil {
+					ok.Add(1)
 				}
-				mu.Lock()
-				samples = append(samples, s)
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(t0)
-	close(satStop)
 
-	// Carve the ramp-up off the front: requests that completed inside the
-	// warmup window (connection establishment, cache fill, breaker settling)
-	// are tallied but excluded from every percentile and from throughput,
-	// whose clock starts at the warmup boundary.
-	measured := samples
-	warmupCount := 0
-	if o.warmup > 0 {
-		warmEnd := t0.Add(o.warmup)
-		measured = samples[:0:0]
-		for _, s := range samples {
-			if s.done.Before(warmEnd) {
-				warmupCount++
-				continue
-			}
-			measured = append(measured, s)
-		}
-		if elapsed -= o.warmup; elapsed < 0 {
-			elapsed = 0
-		}
+	rep := Report{
+		Addr: addr, Devices: devCSV, Jobs: len(zoo), Clients: conc,
+		Requests:  int(ok.Load()),
+		Errors4xx: errs4xx.Load(), Errors5xx: errs5xx.Load(), ErrorsTransport: errsConn.Load(),
+		Failed: int64(n) - ok.Load(), Chaos: chaos, Retries: retried.Load(),
 	}
-	rep := buildReport(measured, satSamples, elapsed)
-	rep.WarmupS = o.warmup.Seconds()
-	rep.WarmupRequests = warmupCount
-	rep.Addr = addr
-	rep.Devices = o.devCSV
-	rep.Mix = o.mixCSV
-	rep.Jobs = len(zoo)
-	rep.Days = o.days
-	rep.Zipf = o.zipfS
-	rep.Clients = o.conc
-	rep.Errors4xx = errs4xx.Load()
-	rep.Errors5xx = errs5xx.Load()
-	rep.ErrorsTransport = errsConn.Load()
 	rep.Errors = rep.Errors4xx + rep.Errors5xx + rep.ErrorsTransport
-	rep.Chaos = o.chaos
-	rep.Retries = retried.Load()
-	rep.Failed = failed.Load()
-	if total := int64(rep.Requests) + rep.Failed; total > 0 {
-		rep.ErrorRate = float64(rep.Failed) / float64(total)
-		rep.Availability = 1 - rep.ErrorRate
-	}
-	if st, err := fetchStats(client, base); err == nil {
-		st.Text = "" // the human rendering has no place in a bench artifact
-		rep.DaemonStats = st
-	}
-
+	rep.Availability = float64(rep.Requests) / float64(n)
 	doc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	doc = append(doc, '\n')
-	if o.out == "-" {
+	if out == "-" {
 		_, err = os.Stdout.Write(doc)
-	} else {
-		err = os.WriteFile(o.out, doc, 0o644)
+	} else if err = os.WriteFile(out, doc, 0o644); err == nil {
+		fmt.Printf("xtalkload: %d/%d requests ok (availability %.3f, %d retries), %d errors (%d 4xx / %d 5xx / %d transport) -> %s\n",
+			rep.Requests, n, rep.Availability, rep.Retries,
+			rep.Errors, rep.Errors4xx, rep.Errors5xx, rep.ErrorsTransport, out)
 	}
 	if err != nil {
 		return err
 	}
-	if o.out != "-" {
-		fmt.Printf("xtalkload: %d requests in %.1fs (%.1f req/s), hit rate %.2f, %d errors (%d 4xx / %d 5xx / %d transport) -> %s\n",
-			rep.Requests, rep.DurationS, rep.Throughput, rep.HitRate,
-			rep.Errors, rep.Errors4xx, rep.Errors5xx, rep.ErrorsTransport, o.out)
-		if o.warmup > 0 {
-			fmt.Printf("  warmup: %.1fs ramp-up, %d requests excluded from the accounting above\n",
-				rep.WarmupS, rep.WarmupRequests)
-		}
-		if o.chaos {
-			fmt.Printf("  chaos: availability=%.3f retries=%d failed=%d degraded=%d\n",
-				rep.Availability, rep.Retries, rep.Failed, rep.Degraded)
-		}
-		for _, tier := range []string{serve.TierMem, serve.TierDisk, serve.TierPeer, serve.TierCold} {
-			if tr, ok := rep.Tiers[tier]; ok {
-				fmt.Printf("  %-4s n=%-5d p50=%.2fms p95=%.2fms p99=%.2fms\n", tier, tr.Count, tr.P50MS, tr.P95MS, tr.P99MS)
-			}
-		}
-	}
-	if o.requireAvail > 0 && rep.Availability < o.requireAvail {
+	if rep.Availability < requireAvail {
 		return fmt.Errorf("availability %.3f below required %.3f (%d/%d items failed)",
-			rep.Availability, o.requireAvail, rep.Failed, int64(rep.Requests)+rep.Failed)
+			rep.Availability, requireAvail, rep.Failed, n)
 	}
 	return nil
 }
@@ -514,11 +276,7 @@ func retryDelay(err error, attempt int) time.Duration {
 	if errors.As(err, &he) && he.retryAfter > 0 {
 		return he.retryAfter
 	}
-	d := 50 * time.Millisecond << attempt
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	return min(50*time.Millisecond<<attempt, time.Second)
 }
 
 func splitCSV(s string) []string {
@@ -531,146 +289,22 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// bodyPool recycles response-read buffers across the submit hot loop: a
-// compile response runs to tens of KiB of QASM, and re-growing a fresh
-// buffer per request would make the generator the allocation hot spot.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func submit(client *http.Client, base string, body []byte) (sample, error) {
-	t0 := time.Now()
+// submit posts one compile request and drains a 200 reply; any other
+// status becomes an httpError carrying the status and Retry-After hint.
+func submit(client *http.Client, base string, body []byte) error {
 	resp, err := client.Post(base+"/compile", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return sample{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		// Status first, then body: an error reply carries an ErrorResponse,
-		// not a CompileResponse, and must never be decoded as one.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		he := &httpError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				he.retryAfter = time.Duration(secs) * time.Second
-			}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+			he.retryAfter = time.Duration(secs) * time.Second
 		}
-		return sample{}, he
+		return he
 	}
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyPool.Put(buf)
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return sample{}, err
-	}
-	// The latency clock stops at last byte received: parsing the reply is
-	// generator overhead, not serving latency, so it runs off the clock and
-	// against a trimmed view that skips materializing the QASM payload.
-	lat, done := time.Since(t0), time.Now()
-	var cr struct {
-		Tier      string `json:"tier"`
-		PeerTier  string `json:"peer_tier"`
-		Collapsed bool   `json:"collapsed"`
-		Degraded  bool   `json:"degraded"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &cr); err != nil {
-		return sample{}, err
-	}
-	return sample{tier: cr.Tier, peerTier: cr.PeerTier, latency: lat, done: done,
-		collapsed: cr.Collapsed, degraded: cr.Degraded}, nil
-}
-
-func fetchStats(client *http.Client, base string) (*serve.Stats, error) {
-	resp, err := client.Get(base + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func buildReport(samples []sample, satSamples []serve.Stats, elapsed time.Duration) *Report {
-	rep := &Report{
-		DurationS:    elapsed.Seconds(),
-		Requests:     len(samples),
-		Tiers:        map[string]TierReport{},
-		PeerServedBy: map[string]int{},
-	}
-	if elapsed > 0 {
-		rep.Throughput = float64(len(samples)) / elapsed.Seconds()
-	}
-	byTier := map[string][]time.Duration{}
-	hits := 0
-	for _, s := range samples {
-		byTier[s.tier] = append(byTier[s.tier], s.latency)
-		if s.collapsed {
-			rep.Collapsed++
-		}
-		if s.degraded {
-			rep.Degraded++
-		}
-		switch s.tier {
-		case serve.TierMem, serve.TierDisk:
-			hits++
-		case serve.TierPeer:
-			rep.PeerServedBy[s.peerTier]++
-			if s.peerTier != serve.TierCold {
-				hits++
-			}
-		}
-	}
-	if len(samples) > 0 {
-		rep.HitRate = float64(hits) / float64(len(samples))
-	}
-	for tier, lats := range byTier {
-		rep.Tiers[tier] = tierReport(lats)
-	}
-	sat := SaturationReport{Samples: len(satSamples)}
-	saturated := 0
-	var sum float64
-	for _, st := range satSamples {
-		sat.MaxConcurrent = st.MaxConcurrent
-		sum += float64(st.Inflight)
-		if st.Inflight > sat.MaxInflight {
-			sat.MaxInflight = st.Inflight
-		}
-		if st.MaxConcurrent > 0 && st.Inflight >= int64(st.MaxConcurrent) {
-			saturated++
-		}
-	}
-	if len(satSamples) > 0 {
-		sat.MeanInflight = sum / float64(len(satSamples))
-		sat.SaturatedFrac = float64(saturated) / float64(len(satSamples))
-	}
-	rep.Saturation = sat
-	return rep
-}
-
-func tierReport(lats []time.Duration) TierReport {
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	pct := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return ms(lats[i])
-	}
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	tr := TierReport{
-		Count: len(lats),
-		P50MS: pct(0.50),
-		P95MS: pct(0.95),
-		P99MS: pct(0.99),
-		MaxMS: ms(lats[len(lats)-1]),
-	}
-	if len(lats) > 0 {
-		tr.MeanMS = ms(sum) / float64(len(lats))
-	}
-	return tr
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }

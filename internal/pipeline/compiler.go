@@ -33,7 +33,7 @@ type Compiler struct {
 	cfg       Config
 	sched     core.Scheduler
 	autoSched bool // sched was derived from cfg; WithNoise rebuilds it
-	stages    []Stage
+	stages    []stage
 	// pool bounds concurrent SMT window solves across the whole engine:
 	// when a batch compiles many circuits with the partitioned engine, all
 	// their windows contend for the same Config.Workers-sized pool.
@@ -62,10 +62,7 @@ func NewCompiler(dev *device.Device, cfg Config) *Compiler {
 		c.sched = c.buildScheduler()
 		c.autoSched = true
 	}
-	c.stages = cfg.Stages
-	if c.stages == nil {
-		c.stages = defaultStages(cfg)
-	}
+	c.stages = defaultStages(cfg)
 	return c
 }
 
@@ -265,9 +262,7 @@ func (c *Compiler) Materialize(req *Request) (*circuit.Circuit, error) {
 // noise data, scheduler choice or compile knobs changes the hash. Execution
 // knobs (Shots, Mitigate, per-request Seed) are deliberately excluded: the
 // fingerprint addresses the compile-only artifact. A per-request scheduler
-// override is part of the address too — see the Artifact path — and a
-// custom stage stack is hashed by its stage names, so two different stacks
-// sharing every Name() must not be cached side by side.
+// override is part of the address too — see the Artifact path.
 func (c *Compiler) Fingerprint(circ *circuit.Circuit) string {
 	return c.fingerprint(circ, nil)
 }
@@ -285,12 +280,6 @@ func (c *Compiler) fingerprint(circ *circuit.Circuit, reqSched core.Scheduler) s
 	}
 	if reqSched != nil {
 		fmt.Fprintf(h, "|reqsched=%s", reqSched.Name())
-	}
-	if c.cfg.Stages != nil {
-		h.Write([]byte("|stages="))
-		for _, st := range c.stages {
-			fmt.Fprintf(h, "%s;", st.Name())
-		}
 	}
 	h.Write(noiseDigest(c.Noise))
 	return hex.EncodeToString(h.Sum(nil))

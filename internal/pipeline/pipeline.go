@@ -21,8 +21,7 @@
 // Every stage is context-aware: canceling the context aborts in-flight SMT
 // optimization within one conflict-check interval and fails the remaining
 // batch items fast, each carrying the cancellation error (fail-soft: one
-// item's failure never aborts its siblings). The stage stack is pluggable —
-// Config.Stages replaces the default stack with any []Stage.
+// item's failure never aborts its siblings).
 package pipeline
 
 import (
@@ -176,14 +175,10 @@ type Config struct {
 	Certify bool
 	// Workers bounds batch concurrency (default GOMAXPROCS).
 	Workers int
-	// Stages replaces the default stage stack entirely. The stack is run
-	// in order for every request; all other stage-selection fields above
-	// are ignored.
-	Stages []Stage
 }
 
-func defaultStages(cfg Config) []Stage {
-	st := []Stage{ParseStage{}}
+func defaultStages(cfg Config) []stage {
+	st := []stage{ParseStage{}}
 	if cfg.Route {
 		st = append(st, RouteStage{})
 	}

@@ -15,12 +15,11 @@ import (
 	"xtalk/internal/transpile"
 )
 
-// Stage is one step of a compilation pipeline. Stages read and extend the
+// stage is one step of a compilation pipeline. Stages read and extend the
 // Result in place; returning an error fails the item (fail-soft within a
 // batch). Stages must not mutate the Compiler — it is shared by all
-// concurrent compilations. Custom stages may be mixed freely with the
-// built-in ones via Config.Stages.
-type Stage interface {
+// concurrent compilations.
+type stage interface {
 	Name() string
 	Run(ctx context.Context, c *Compiler, res *Result) error
 }
@@ -44,10 +43,10 @@ func parseSource(src string, dev *device.Device) (*circuit.Circuit, error) {
 // textual gate-list format.
 type ParseStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (ParseStage) Name() string { return "parse" }
 
-// Run implements Stage.
+// Run implements stage.
 func (ParseStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	if res.Circuit != nil {
 		return checkFits(res.Circuit, c.Dev)
@@ -77,10 +76,10 @@ func checkFits(c *circuit.Circuit, dev *device.Device) error {
 // meet-in-the-middle SWAP chains for non-adjacent CNOTs.
 type RouteStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (RouteStage) Name() string { return "route" }
 
-// Run implements Stage.
+// Run implements stage.
 func (RouteStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	routed, _, err := transpile.Route(res.Circuit, c.Dev.Topo)
 	if err != nil {
@@ -94,10 +93,10 @@ func (RouteStage) Run(_ context.Context, c *Compiler, res *Result) error {
 // hardware-compliant form the schedulers expect.
 type DecomposeStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (DecomposeStage) Name() string { return "decompose" }
 
-// Run implements Stage.
+// Run implements stage.
 func (DecomposeStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 	res.Circuit = res.Circuit.DecomposeSwaps()
 	return nil
@@ -108,10 +107,10 @@ func (DecomposeStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 // validates the result.
 type ScheduleStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (ScheduleStage) Name() string { return "schedule" }
 
-// Run implements Stage.
+// Run implements stage.
 func (ScheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	sched := c.Scheduler(&res.Req)
 	if res.Req.Budget > 0 {
@@ -142,10 +141,10 @@ func (ScheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 // barriers enforce the serialization decisions (Section 6's post-pass).
 type BarrierStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (BarrierStage) Name() string { return "barriers" }
 
-// Run implements Stage.
+// Run implements stage.
 func (BarrierStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 	res.Barriered = core.InsertBarriers(res.Schedule)
 	return nil
@@ -155,10 +154,10 @@ func (BarrierStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 // and records the raw histogram plus its empirical distribution.
 type ExecuteStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (ExecuteStage) Name() string { return "execute" }
 
-// Run implements Stage.
+// Run implements stage.
 func (ExecuteStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -185,10 +184,10 @@ func (ExecuteStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 // reported result).
 type MitigateStage struct{}
 
-// Name implements Stage.
+// Name implements stage.
 func (MitigateStage) Name() string { return "mitigate" }
 
-// Run implements Stage.
+// Run implements stage.
 func (MitigateStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	dist, err := Mitigated(c.Dev, res.Raw)
 	if err != nil {

@@ -34,7 +34,8 @@ import (
 //
 // Everything is content-addressed, so there is no invalidation problem: an
 // epoch flip changes the resolved identity and simply misses. One byte
-// bound covers the lot; an evicted entry takes its aliases with it.
+// bound covers the lot; an entry over it sheds its oldest aliases before
+// any entry is evicted, and an evicted entry takes its aliases with it.
 
 // DefaultCacheBytes is the memory tier's size bound when the configuration
 // does not set one (64 MiB — roughly 10^4 large-device artifacts with their
@@ -196,12 +197,21 @@ func (t *memTier) entry(fp string, key aliasKey) *memEntry {
 	return e
 }
 
-// resize re-accounts e, then evicts from the back until the bound holds.
-// Caller holds t.mu.
+// resize re-accounts e, then restores the bound: first by dropping e's
+// oldest aliases down to its newest, then by evicting from the back. An
+// alias costs a re-parse when it is gone, an entry a disk read or a solve,
+// so many spellings of one hot circuit shed their own aliases instead of
+// pushing out other entries and finally e itself. Caller holds t.mu.
 func (t *memTier) resize(e *memEntry) {
 	size := e.footprint()
 	t.bytes += size - e.size
 	e.size = size
+	for t.bytes > t.max && len(e.aliases) > 1 {
+		delete(t.byAlias, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+		e.size -= aliasBytes
+		t.bytes -= aliasBytes
+	}
 	for t.bytes > t.max && t.ll.Len() > 0 {
 		back := t.ll.Back()
 		old := t.ll.Remove(back).(*memEntry)

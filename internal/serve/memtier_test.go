@@ -123,6 +123,28 @@ func TestCacheAliasesFollowEntry(t *testing.T) {
 	}
 }
 
+// TestCacheAliasesShedBeforeEntries: new aliases on an entry at the bound
+// displace that entry's oldest alias, not other entries.
+func TestCacheAliasesShedBeforeEntries(t *testing.T) {
+	const itemSize = 1000
+	m := newMemTier(2*itemSize + 4*aliasBytes)
+	m.put("k0", aliasKey{}, testArtifact("k0", itemSize-entryOverhead), nil)
+	m.put("k1", aliasKey{}, testArtifact("k1", itemSize-entryOverhead), nil)
+	for i := 1; i <= 10; i++ {
+		m.put("k1", aliasKey{byte(i)}, nil, nil)
+	}
+	st := m.stats()
+	if st.Entries != 2 || st.Evictions != 0 || st.Aliases != 4 || st.Bytes > st.MaxBytes {
+		t.Fatalf("aliases pushed out an entry or outgrew the bound: %+v", st)
+	}
+	if fp, _, _ := m.get("", aliasKey{6}); fp != "" {
+		t.Fatal("an old alias survived while newer ones were added")
+	}
+	if fp, _, _ := m.get("", aliasKey{10}); fp != "k1" {
+		t.Fatalf("newest alias resolved to %q, want k1", fp)
+	}
+}
+
 // TestTaggedHitSplicesTag: a tagged warm hit shares the entry's encoded
 // untagged reply, and the bytes written for it are exactly what
 // json.Marshal makes of the tagged response.
@@ -153,8 +175,9 @@ func TestTaggedHitSplicesTag(t *testing.T) {
 }
 
 // TestAliasesWithinByteBound: distinct spellings of one circuit each add an
-// alias, and the tier's one byte bound covers them — old aliases are
-// evicted instead of growing without limit.
+// alias, and the tier's one byte bound covers them — the entry sheds its
+// oldest aliases instead of growing until it evicts itself, so the circuit
+// stays cached and is solved exactly once.
 func TestAliasesWithinByteBound(t *testing.T) {
 	s, err := New(Config{
 		Spec:       "poughkeepsie",
@@ -177,9 +200,12 @@ func TestAliasesWithinByteBound(t *testing.T) {
 			t.Fatalf("spelling %d: tier over its bound: %+v", i, st)
 		}
 	}
-	st := s.Stats().Cache
-	if st.Evictions == 0 || st.Aliases >= spellings {
-		t.Fatalf("aliases were not evicted under the byte bound: %+v", st)
+	st := s.Stats()
+	if st.Cache.Aliases >= spellings || st.Cache.Entries != 1 || st.Cache.Evictions != 0 {
+		t.Fatalf("aliases unbounded or the hot entry was evicted: %+v", st.Cache)
+	}
+	if st.Solves != 1 {
+		t.Fatalf("one circuit in %d spellings was solved %d times, want 1", spellings, st.Solves)
 	}
 	// The last spelling is still an alias: its repeat is a warm hit.
 	src := testQASM + strings.Repeat("\n", (spellings-1)%7) + fmt.Sprintf("// spelling %d\n", spellings-1)

@@ -309,7 +309,7 @@ type Stats struct {
 	Store   *StoreStats `json:"store,omitempty"`
 	Devices []string    `json:"devices"`
 	// Text is the human-readable rendering (pipeline stage table + tier and
-	// cache counters), the same string StatsString returns.
+	// cache counters) of this same snapshot.
 	Text string `json:"text"`
 }
 
@@ -1170,9 +1170,13 @@ func (s *Server) Stats() Stats {
 	for k := range s.engines {
 		devices = append(devices, k)
 	}
+	sort.Strings(devices)
+	engines := make([]*pipeline.Pipeline, len(devices))
+	for i, k := range devices {
+		engines[i] = s.engines[k]
+	}
 	epoch := s.cur
 	s.mu.Unlock()
-	sort.Strings(devices)
 	st := Stats{
 		UptimeS:       time.Since(s.started).Seconds(),
 		Requests:      s.requests.Load(),
@@ -1197,7 +1201,6 @@ func (s *Server) Stats() Stats {
 		EpochFlips:    s.epochFlips.Load(),
 		Cache:         s.mem.stats(),
 		Devices:       devices,
-		Text:          s.StatsString(),
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -1226,47 +1229,34 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	s.breakerMu.Unlock()
+	st.Text = st.render(engines)
 	return st
 }
 
-// StatsString renders the service statistics: the per-device pipeline stage
+// render is the human-readable form of st: the per-device pipeline stage
 // tables (cold compiles only — hits never touch a stage), the cache and
 // hit-tier counters, and — when configured — the disk tier, epoch and ring
-// membership.
-func (s *Server) StatsString() string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.engines))
-	for k := range s.engines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	engines := make([]*pipeline.Pipeline, len(keys))
-	for i, k := range keys {
-		engines[i] = s.engines[k]
-	}
-	epoch := s.cur
-	s.mu.Unlock()
+// membership. Every counter comes from st itself, so the text agrees with
+// the JSON fields of the same snapshot.
+func (st *Stats) render(engines []*pipeline.Pipeline) string {
 	var sb strings.Builder
-	for i, k := range keys {
+	for i, k := range st.Devices {
 		fmt.Fprintf(&sb, "device %s:\n", k)
 		sb.WriteString(engines[i].StatsString())
 	}
-	cs := s.mem.stats()
+	cs := st.Cache
 	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d aliases  %d/%d bytes  %d evictions\n",
-		cs.Hits, cs.Misses, s.collapsed.Load(), s.inflight.Load(), s.solves.Load(),
+		cs.Hits, cs.Misses, st.Collapsed, st.Inflight, st.Solves,
 		cs.Entries, cs.Aliases, cs.Bytes, cs.MaxBytes, cs.Evictions)
 	fmt.Fprintf(&sb, "tiers: %d mem  %d disk  %d peer  %d cold solves  (%d peer fallbacks, %d proxied in)\n",
-		s.memHits.Load(), s.diskHits.Load(), s.peerHits.Load(), s.solves.Load(),
-		s.peerFallbacks.Load(), s.proxiedIn.Load())
-	if s.store != nil {
-		ss := s.store.Stats()
+		st.MemHits, st.DiskHits, st.PeerHits, st.Solves, st.PeerFallbacks, st.ProxiedIn)
+	if ss := st.Store; ss != nil {
 		fmt.Fprintf(&sb, "store: %d entries  %d/%d bytes  %d hits  %d misses  %d writes  %d evictions  %d quarantined  (%s)\n",
 			ss.Entries, ss.Bytes, ss.MaxBytes, ss.Hits, ss.Misses, ss.Writes, ss.Evictions, ss.Quarantined, ss.Dir)
 	}
-	fmt.Fprintf(&sb, "epoch: %s  (%d flips)\n", epoch, s.epochFlips.Load())
-	if s.ring != nil {
-		fmt.Fprintf(&sb, "ring: self=%s  nodes=%s\n", s.ring.Self(), strings.Join(s.ring.Nodes(), " "))
-		pw := s.PrewarmStats()
+	fmt.Fprintf(&sb, "epoch: %s  (%d flips)\n", st.Epoch, st.EpochFlips)
+	if pw := st.Prewarm; pw != nil {
+		fmt.Fprintf(&sb, "ring: self=%s  nodes=%s\n", st.Self, strings.Join(st.Ring, " "))
 		fmt.Fprintf(&sb, "prewarm: %d runs  %d admitted  %d skipped  %d peer errors  %d breaker skips\n",
 			pw.Runs, pw.Admitted, pw.Skipped, pw.PeerErrors, pw.BreakerSkips)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -279,7 +280,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("warm repeats bypassed the memory tier: %+v", st.Cache)
 	}
 	if !strings.Contains(st.Text, "cache:") || !strings.Contains(st.Text, "schedule") {
-		t.Fatalf("StatsString missing cache line or stage table:\n%s", st.Text)
+		t.Fatalf("stats text missing cache line or stage table:\n%s", st.Text)
 	}
 
 	// Healthz.
@@ -290,6 +291,42 @@ func TestHTTPEndpoints(t *testing.T) {
 	hResp.Body.Close()
 	if hResp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", hResp.StatusCode)
+	}
+}
+
+// TestStatsTextMatchesSnapshot: the text rendering of a /stats reply is
+// built from the same snapshot as its JSON fields, so under concurrent
+// hits the tiers line still agrees with MemHits and Solves.
+func TestStatsTextMatchesSnapshot(t *testing.T) {
+	s := newTestServer(t)
+	compileOK(t, s, CompileRequest{Source: testQASM})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Compile(context.Background(), CompileRequest{Source: testQASM})
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 200; i++ {
+		st := s.Stats()
+		line := st.Text[strings.Index(st.Text, "tiers:"):]
+		var mem, disk, peer, solves int64
+		if _, err := fmt.Sscanf(line, "tiers: %d mem  %d disk  %d peer  %d cold solves", &mem, &disk, &peer, &solves); err != nil {
+			t.Fatalf("unparsable tiers line %q: %v", line, err)
+		}
+		if mem != st.MemHits || solves != st.Solves {
+			t.Fatalf("snapshot %d: text says %d mem / %d solves, fields say %d / %d", i, mem, solves, st.MemHits, st.Solves)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@
 //	res, _ := xtalk.Execute(dev, sched, 8192, 1)             // noisy execution
 //
 // The staged pipeline (internal/pipeline) is the production path: it runs
-// the same flow as a pluggable stage stack with concurrent batch
+// the same flow as a stage stack with concurrent batch
 // compilation, context cancellation and per-stage statistics:
 //
 //	p := xtalk.NewPipeline(dev, xtalk.PipelineConfig{Shots: 8192, Mitigate: true})
@@ -82,8 +82,6 @@ type (
 	Pipeline = pipeline.Pipeline
 	// PipelineConfig shapes a Pipeline.
 	PipelineConfig = pipeline.Config
-	// PipelineStage is one pluggable step of a Pipeline's stage stack.
-	PipelineStage = pipeline.Stage
 	// CompileRequest is one work item submitted to a Pipeline.
 	CompileRequest = pipeline.Request
 	// CompileResult is a Pipeline's per-item outcome.
