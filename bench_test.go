@@ -329,49 +329,91 @@ func BenchmarkSchedulerDeviceSizes(b *testing.B) {
 // timing per device size and engine) so successive PRs have a comparable
 // scheduler perf trajectory.
 func BenchmarkSchedEngine(b *testing.B) {
-	for _, spec := range []string{"linear:12", "heavyhex:27", "grid:5x8", "heavyhex:65", "heavyhex:127"} {
-		dev := device.MustNewFromSpec(spec, 1)
-		nd := core.NoiseDataFromDevice(dev, 3)
-		sup, err := workloads.SupremacyCircuit(dev.Topo, dev.Topo.NQubits, 3*dev.Topo.NQubits, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.DefaultXtalkConfig()
-		cfg.CompactErrorEncoding = true
-		cfg.Timeout = 2 * time.Second
-		report := func(b *testing.B, simplex time.Duration, pivots, promotions int64) {
-			b.ReportMetric(float64(simplex.Nanoseconds())/float64(b.N), "simplex_ns/op")
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			b.ReportMetric(float64(promotions)/float64(b.N), "promotions/op")
-		}
-		b.Run(fmt.Sprintf("%s/%dq/monolithic", spec, dev.Topo.NQubits), func(b *testing.B) {
-			var simplex time.Duration
-			var pivots, promotions int64
-			for i := 0; i < b.N; i++ {
-				s, err := core.NewXtalkSched(nd, cfg).Schedule(sup, dev)
-				if err != nil {
-					b.Fatal(err)
+	for _, spec := range schedEngineSpecs {
+		dev, sup, engines := schedEngineShape(b, spec)
+		for _, eng := range engines {
+			b.Run(fmt.Sprintf("%s/%dq/%s", spec, dev.Topo.NQubits, eng.name), func(b *testing.B) {
+				var simplex time.Duration
+				var pivots, promotions int64
+				for i := 0; i < b.N; i++ {
+					s, err := eng.build().Schedule(sup, dev)
+					if err != nil {
+						b.Fatal(err)
+					}
+					simplex += s.Stats.SimplexTime
+					pivots += s.Stats.Pivots
+					promotions += s.Stats.Promotions
 				}
-				simplex += s.Stats.SimplexTime
-				pivots += s.Stats.Pivots
-				promotions += s.Stats.Promotions
+				b.ReportMetric(float64(simplex.Nanoseconds())/float64(b.N), "simplex_ns/op")
+				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+				b.ReportMetric(float64(promotions)/float64(b.N), "promotions/op")
+			})
+		}
+	}
+}
+
+// schedEngineSpecs are the device shapes BenchmarkSchedEngine and
+// TestSchedBudgetContract run: each device filled by a supremacy circuit of
+// depth three times its qubit count.
+var schedEngineSpecs = []string{"linear:12", "heavyhex:27", "grid:5x8", "heavyhex:65", "heavyhex:127"}
+
+// schedEngineBudget is the anytime budget every engine runs under.
+const schedEngineBudget = 2 * time.Second
+
+// schedEngine names a scheduler constructor; each schedule gets a fresh
+// engine, so no run inherits another's warm state.
+type schedEngine struct {
+	name  string
+	build func() core.Scheduler
+}
+
+// schedEngineShape builds one shape's device, circuit and its two engines:
+// the monolithic SMT encoding and the conflict-partitioned one.
+func schedEngineShape(tb testing.TB, spec string) (*device.Device, *circuit.Circuit, []schedEngine) {
+	tb.Helper()
+	dev := device.MustNewFromSpec(spec, 1)
+	nd := core.NoiseDataFromDevice(dev, 3)
+	sup, err := workloads.SupremacyCircuit(dev.Topo, dev.Topo.NQubits, 3*dev.Topo.NQubits, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := core.DefaultXtalkConfig()
+	cfg.CompactErrorEncoding = true
+	cfg.Timeout = schedEngineBudget
+	return dev, sup, []schedEngine{
+		{"monolithic", func() core.Scheduler { return core.NewXtalkSched(nd, cfg) }},
+		{"partitioned", func() core.Scheduler { return core.NewPartitionedXtalkSched(nd, cfg, core.PartitionOpts{}) }},
+	}
+}
+
+// TestSchedBudgetContract holds the anytime budget to wall time: every
+// BenchmarkSchedEngine shape, on both engines, returns a valid schedule
+// within the budget plus 10% — whether it proved optimality or ran out of
+// time. Serve's deadline propagation promises clients exactly this.
+func TestSchedBudgetContract(t *testing.T) {
+	if testing.Short() {
+		// Wall-clock gate: runs in its own CI step, without the race
+		// detector's overhead.
+		t.Skip("wall-clock gate runs in its own CI step")
+	}
+	limit := schedEngineBudget + schedEngineBudget/10
+	for _, spec := range schedEngineSpecs {
+		dev, sup, engines := schedEngineShape(t, spec)
+		for _, eng := range engines {
+			t0 := time.Now()
+			s, err := eng.build().Schedule(sup, dev)
+			elapsed := time.Since(t0)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", spec, eng.name, err)
 			}
-			report(b, simplex, pivots, promotions)
-		})
-		b.Run(fmt.Sprintf("%s/%dq/partitioned", spec, dev.Topo.NQubits), func(b *testing.B) {
-			var simplex time.Duration
-			var pivots, promotions int64
-			for i := 0; i < b.N; i++ {
-				s, err := core.NewPartitionedXtalkSched(nd, cfg, core.PartitionOpts{}).Schedule(sup, dev)
-				if err != nil {
-					b.Fatal(err)
-				}
-				simplex += s.Stats.SimplexTime
-				pivots += s.Stats.Pivots
-				promotions += s.Stats.Promotions
+			if err := s.Validate(); err != nil {
+				t.Fatalf("%s/%s: invalid schedule: %v", spec, eng.name, err)
 			}
-			report(b, simplex, pivots, promotions)
-		})
+			t.Logf("%s/%s: %v (%s)", spec, eng.name, elapsed.Round(time.Millisecond), s.Stats)
+			if elapsed > limit {
+				t.Errorf("%s/%s took %v, budget %v + 10%%", spec, eng.name, elapsed, schedEngineBudget)
+			}
+		}
 	}
 }
 

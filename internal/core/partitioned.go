@@ -181,15 +181,11 @@ func (p *PartitionedXtalkSched) ScheduleContext(ctx context.Context, c *circuit.
 		return winOutcome{makespan: m}
 	}
 	solve := func(w *Window, ws *smt.WarmStart) winOutcome {
-		timeout := time.Duration(0)
-		if !deadline.IsZero() {
-			timeout = time.Until(deadline)
-			if timeout <= 0 {
-				// Shared budget already spent: don't even start a search.
-				return greedy(w)
-			}
+		if !deadline.IsZero() && time.Until(deadline) <= 0 {
+			// Shared budget already spent: don't even start a search.
+			return greedy(w)
 		}
-		st, err := mono.solveGates(ctx, c, sched, w.Gates, timeout, ws)
+		st, err := mono.solveGates(ctx, c, sched, w.Gates, deadline, ws)
 		if err != nil {
 			// Monolithic-path parity: cancellation and expired anytime
 			// budgets degrade to the heuristic, but a genuine solver

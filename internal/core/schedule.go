@@ -123,9 +123,8 @@ type SolveStats struct {
 	Decisions, Conflicts int64
 	// DiffAtoms and LinAtoms count interned theory atoms by classification
 	// across all instances: difference-shaped (x - y <= c, ±x <= c) vs
-	// genuinely multi-term linear. Small (window-sized) instances run their
-	// difference atoms through the eager simplex strategy, larger ones
-	// through the difference engine (see smt.Solver.TierStats).
+	// genuinely multi-term linear. Difference atoms run on the difference
+	// engine, linear ones on the simplex (see smt.Solver.TierStats).
 	DiffAtoms, LinAtoms int64
 	// DiffConflicts counts negative-cycle conflicts raised by the
 	// difference-logic engine.

@@ -130,7 +130,11 @@ func (x *XtalkSched) ScheduleContext(ctx context.Context, c *circuit.Circuit, de
 		return nil, err
 	}
 	sched := newSchedule(c, dev, x.Name())
-	st, err := x.solveGates(ctx, c, sched, nil, x.Config.Timeout, nil)
+	var deadline time.Time
+	if x.Config.Timeout > 0 {
+		deadline = time.Now().Add(x.Config.Timeout)
+	}
+	st, err := x.solveGates(ctx, c, sched, nil, deadline, nil)
 	if err != nil {
 		if errors.Is(err, smt.ErrCanceled) {
 			// Canceled before the first incumbent: report the caller's
@@ -182,6 +186,8 @@ type winStats struct {
 // the given gate IDs (nil = the whole circuit) and minimizes the weighted
 // objective, writing the optimal start times into sched.Start for exactly
 // those gates. With gates == nil this is the paper's monolithic encoding.
+// A nonzero deadline bounds encoding and search together: the search is
+// anytime and returns its incumbent when the deadline passes.
 //
 // When gates is a proper subset, the instance is a *window* of the
 // conflict-partitioned engine: it must be dependency-closed from below
@@ -190,7 +196,7 @@ type winStats struct {
 // here), it is solved in window-local time starting at 0, and it must not
 // contain measure gates — the global all-readouts-simultaneous slot only
 // exists on the full circuit.
-func (x *XtalkSched) solveGates(ctx context.Context, c *circuit.Circuit, sched *Schedule, gates []int, timeout time.Duration, warm *smt.WarmStart) (winStats, error) {
+func (x *XtalkSched) solveGates(ctx context.Context, c *circuit.Circuit, sched *Schedule, gates []int, deadline time.Time, warm *smt.WarmStart) (winStats, error) {
 	dag := c.DAG()
 	if gates == nil {
 		gates = make([]int, len(c.Gates))
@@ -415,6 +421,13 @@ func (x *XtalkSched) solveGates(ctx context.Context, c *circuit.Circuit, sched *
 		objective = objective.Add(smt.Term(tau[id], x.Config.TieBreak))
 	}
 
+	// The budget runs from before the encoding was built, so the search
+	// gets what the encoding left of it (at least a nanosecond: a zero
+	// Deadline would mean none).
+	var timeout time.Duration
+	if !deadline.IsZero() {
+		timeout = max(time.Until(deadline), time.Nanosecond)
+	}
 	model, ok, err := sol.Minimize(objective, smt.MinimizeOpts{
 		MaxConflicts: x.Config.MaxConflicts,
 		Deadline:     timeout,

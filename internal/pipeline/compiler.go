@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -38,6 +39,10 @@ type Compiler struct {
 	// when a batch compiles many circuits with the partitioned engine, all
 	// their windows contend for the same Config.Workers-sized pool.
 	pool *core.SolvePool
+	// fpEngine and fpNoise are the engine's fixed fingerprint inputs — the
+	// device, configuration and scheduler identity, and the noise digest —
+	// computed once at construction instead of on every fingerprint.
+	fpEngine, fpNoise []byte
 }
 
 // NewCompiler builds a compilation engine over dev. See Config for the
@@ -63,6 +68,7 @@ func NewCompiler(dev *device.Device, cfg Config) *Compiler {
 		c.autoSched = true
 	}
 	c.stages = defaultStages(cfg)
+	c.initFingerprint()
 	return c
 }
 
@@ -138,6 +144,7 @@ func (c *Compiler) WithNoise(nd *core.NoiseData) *Compiler {
 	} else {
 		out.sched = out.rebuildOnNoise(c.sched)
 	}
+	out.initFingerprint()
 	return out
 }
 
@@ -270,19 +277,28 @@ func (c *Compiler) Fingerprint(circ *circuit.Circuit) string {
 func (c *Compiler) fingerprint(circ *circuit.Circuit, reqSched core.Scheduler) string {
 	h := sha256.New()
 	h.Write(circ.Encode())
-	fmt.Fprintf(h, "|dev=%s;seed=%d;day=%d", c.Dev.Name, c.Dev.Seed, c.Dev.Day)
-	fmt.Fprintf(h, "|thr=%g;omega=%g;budget=%d;part=%t;win=%d;port=%t;route=%t;swaps=%t",
+	h.Write(c.fpEngine)
+	if reqSched != nil {
+		fmt.Fprintf(h, "|reqsched=%s", reqSched.Name())
+	}
+	h.Write(c.fpNoise)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// initFingerprint computes the engine's fixed fingerprint inputs. The
+// engine is immutable after construction, so they never go stale.
+func (c *Compiler) initFingerprint() {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "|dev=%s;seed=%d;day=%d", c.Dev.Name, c.Dev.Seed, c.Dev.Day)
+	fmt.Fprintf(&b, "|thr=%g;omega=%g;budget=%d;part=%t;win=%d;port=%t;route=%t;swaps=%t",
 		c.cfg.Threshold, c.cfg.Omega, c.cfg.Budget,
 		c.cfg.Partition, c.cfg.WindowGates, c.cfg.Portfolio,
 		c.cfg.Route, c.cfg.DecomposeSwaps)
 	if c.cfg.Scheduler != nil {
-		fmt.Fprintf(h, "|sched=%s", c.cfg.Scheduler.Name())
+		fmt.Fprintf(&b, "|sched=%s", c.cfg.Scheduler.Name())
 	}
-	if reqSched != nil {
-		fmt.Fprintf(h, "|reqsched=%s", reqSched.Name())
-	}
-	h.Write(noiseDigest(c.Noise))
-	return hex.EncodeToString(h.Sum(nil))
+	c.fpEngine = b.Bytes()
+	c.fpNoise = noiseDigest(c.Noise)
 }
 
 // noiseDigest hashes a NoiseData deterministically (sorted edge order), so

@@ -178,18 +178,18 @@ type Config struct {
 }
 
 func defaultStages(cfg Config) []stage {
-	st := []stage{ParseStage{}}
+	st := []stage{parseStage{}}
 	if cfg.Route {
-		st = append(st, RouteStage{})
+		st = append(st, routeStage{})
 	}
 	if cfg.DecomposeSwaps {
-		st = append(st, DecomposeStage{})
+		st = append(st, decomposeStage{})
 	}
-	st = append(st, ScheduleStage{}, BarrierStage{})
+	st = append(st, scheduleStage{}, barrierStage{})
 	if cfg.Shots > 0 {
-		st = append(st, ExecuteStage{})
+		st = append(st, executeStage{})
 		if cfg.Mitigate {
-			st = append(st, MitigateStage{})
+			st = append(st, mitigateStage{})
 		}
 	}
 	return st

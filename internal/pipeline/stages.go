@@ -37,17 +37,17 @@ func parseSource(src string, dev *device.Device) (*circuit.Circuit, error) {
 	return circuit.ParseText(src, dev.Topo.NQubits)
 }
 
-// ParseStage materializes the circuit IR: it passes a pre-built
+// parseStage materializes the circuit IR: it passes a pre-built
 // Request.Circuit through untouched, otherwise parses Request.Source as
 // OpenQASM 2.0 (when it contains an OPENQASM declaration) or the library's
 // textual gate-list format.
-type ParseStage struct{}
+type parseStage struct{}
 
 // Name implements stage.
-func (ParseStage) Name() string { return "parse" }
+func (parseStage) Name() string { return "parse" }
 
 // Run implements stage.
-func (ParseStage) Run(_ context.Context, c *Compiler, res *Result) error {
+func (parseStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	if res.Circuit != nil {
 		return checkFits(res.Circuit, c.Dev)
 	}
@@ -72,15 +72,15 @@ func checkFits(c *circuit.Circuit, dev *device.Device) error {
 	return nil
 }
 
-// RouteStage lowers the circuit onto the device topology, inserting
+// routeStage lowers the circuit onto the device topology, inserting
 // meet-in-the-middle SWAP chains for non-adjacent CNOTs.
-type RouteStage struct{}
+type routeStage struct{}
 
 // Name implements stage.
-func (RouteStage) Name() string { return "route" }
+func (routeStage) Name() string { return "route" }
 
 // Run implements stage.
-func (RouteStage) Run(_ context.Context, c *Compiler, res *Result) error {
+func (routeStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	routed, _, err := transpile.Route(res.Circuit, c.Dev.Topo)
 	if err != nil {
 		return err
@@ -89,29 +89,29 @@ func (RouteStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	return nil
 }
 
-// DecomposeStage rewrites SWAP gates into three back-to-back CNOTs, the
+// decomposeStage rewrites SWAP gates into three back-to-back CNOTs, the
 // hardware-compliant form the schedulers expect.
-type DecomposeStage struct{}
+type decomposeStage struct{}
 
 // Name implements stage.
-func (DecomposeStage) Name() string { return "decompose" }
+func (decomposeStage) Name() string { return "decompose" }
 
 // Run implements stage.
-func (DecomposeStage) Run(_ context.Context, _ *Compiler, res *Result) error {
+func (decomposeStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 	res.Circuit = res.Circuit.DecomposeSwaps()
 	return nil
 }
 
-// ScheduleStage assigns start times with the request's scheduler (or the
+// scheduleStage assigns start times with the request's scheduler (or the
 // pipeline default), threading cancellation into the SMT search, and
 // validates the result.
-type ScheduleStage struct{}
+type scheduleStage struct{}
 
 // Name implements stage.
-func (ScheduleStage) Name() string { return "schedule" }
+func (scheduleStage) Name() string { return "schedule" }
 
 // Run implements stage.
-func (ScheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
+func (scheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	sched := c.Scheduler(&res.Req)
 	if res.Req.Budget > 0 {
 		// Deadline propagation: cap the anytime budget rather than the
@@ -137,28 +137,28 @@ func (ScheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	return nil
 }
 
-// BarrierStage converts the schedule into an executable circuit whose
+// barrierStage converts the schedule into an executable circuit whose
 // barriers enforce the serialization decisions (Section 6's post-pass).
-type BarrierStage struct{}
+type barrierStage struct{}
 
 // Name implements stage.
-func (BarrierStage) Name() string { return "barriers" }
+func (barrierStage) Name() string { return "barriers" }
 
 // Run implements stage.
-func (BarrierStage) Run(_ context.Context, _ *Compiler, res *Result) error {
+func (barrierStage) Run(_ context.Context, _ *Compiler, res *Result) error {
 	res.Barriered = core.InsertBarriers(res.Schedule)
 	return nil
 }
 
-// ExecuteStage runs the schedule on the device's ground-truth noise model
+// executeStage runs the schedule on the device's ground-truth noise model
 // and records the raw histogram plus its empirical distribution.
-type ExecuteStage struct{}
+type executeStage struct{}
 
 // Name implements stage.
-func (ExecuteStage) Name() string { return "execute" }
+func (executeStage) Name() string { return "execute" }
 
 // Run implements stage.
-func (ExecuteStage) Run(ctx context.Context, c *Compiler, res *Result) error {
+func (executeStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -179,16 +179,16 @@ func (ExecuteStage) Run(ctx context.Context, c *Compiler, res *Result) error {
 	return nil
 }
 
-// MitigateStage replaces the empirical distribution with its readout-error
+// mitigateStage replaces the empirical distribution with its readout-error
 // mitigated counterpart (the paper applies readout mitigation to every
 // reported result).
-type MitigateStage struct{}
+type mitigateStage struct{}
 
 // Name implements stage.
-func (MitigateStage) Name() string { return "mitigate" }
+func (mitigateStage) Name() string { return "mitigate" }
 
 // Run implements stage.
-func (MitigateStage) Run(_ context.Context, c *Compiler, res *Result) error {
+func (mitigateStage) Run(_ context.Context, c *Compiler, res *Result) error {
 	dist, err := Mitigated(c.Dev, res.Raw)
 	if err != nil {
 		return err

@@ -54,6 +54,7 @@ type diffLogic struct {
 	queue   []int32
 	inQueue []bool
 	pred    []int32   // edge that last lowered the node in the current repair
+	queued  []int32   // times the node was queued in the current repair
 	touched []int32   // nodes modified by the current repair, in order
 	oldPot  []float64 // touched nodes' potentials before the repair
 
@@ -79,6 +80,7 @@ func (d *diffLogic) ensureNode(n int32) {
 		d.adj = append(d.adj, nil)
 		d.inQueue = append(d.inQueue, false)
 		d.pred = append(d.pred, -1)
+		d.queued = append(d.queued, 0)
 	}
 }
 
@@ -157,6 +159,19 @@ func (d *diffLogic) assert(from, to int32, w float64, lit int) []int {
 			}
 			d.lower(e.to, pu+e.w, ei)
 			if !d.inQueue[e.to] {
+				if d.queued[e.to]++; d.queued[e.to] >= int32(len(d.pot)) {
+					// A FIFO relaxation queues a node at most once per
+					// Bellman-Ford pass, so a node queued once per node is
+					// circling a cycle of old edges. The asserted set had
+					// no negative cycle, so its exact weight is zero and
+					// only float rounding makes it look negative — each
+					// lap would shave an ulp off its potentials, without
+					// end. Treat it like a rounding artifact on a closing
+					// cycle.
+					d.rollback(qi + 1)
+					d.rounded++
+					return nil
+				}
 				d.inQueue[e.to] = true
 				d.queue = append(d.queue, e.to)
 			}
@@ -189,6 +204,7 @@ func (d *diffLogic) rollback(qi int) {
 	for i, n := range d.touched {
 		d.pot[n] = d.oldPot[i]
 		d.pred[n] = -1
+		d.queued[n] = 0
 	}
 	for _, n := range d.queue[qi:] {
 		d.inQueue[n] = false
@@ -202,6 +218,7 @@ func (d *diffLogic) rollback(qi int) {
 func (d *diffLogic) clearRepair() {
 	for _, n := range d.touched {
 		d.pred[n] = -1
+		d.queued[n] = 0
 	}
 	d.touched = d.touched[:0]
 	d.oldPot = d.oldPot[:0]

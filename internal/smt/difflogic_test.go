@@ -226,3 +226,38 @@ func TestDiffLogicPotentialDriftBounded(t *testing.T) {
 		t.Fatalf("invalid potentials: %s", msg)
 	}
 }
+
+// TestDiffLogicZeroCycleRoundingTerminates: a cycle whose exact weight is
+// zero can still look negative in float64, each lap of the relaxation
+// rounding its potentials down by an ulp. Lowering a node on such a cycle
+// must neither loop nor report a conflict: the engine gives the edge up as
+// a rounding artifact (the simplex keeps it) and its potentials stay valid.
+func TestDiffLogicZeroCycleRoundingTerminates(t *testing.T) {
+	// Weights found by search: their exact sum is 0, but the float sums
+	// keep decreasing lap after lap from the start potential below.
+	ws := []float64{-152.7780608566187, 768.1291330717916, -671.0231518669374, -645.127129016468, 700.7992086682325}
+	sum := ratOf(0)
+	for _, w := range ws {
+		sum.Add(sum, ratOf(w))
+	}
+	if sum.Sign() != 0 {
+		t.Fatalf("cycle weight %s, want exactly 0", sum.RatString())
+	}
+	d := newDiffLogic()
+	for i, w := range ws {
+		from, to := dlNode(Var(i)), dlNode(Var((i+1)%len(ws)))
+		if c := d.assert(from, to, w, 2*i); c != nil {
+			t.Fatalf("zero-weight cycle edge %d: false conflict %v", i, c)
+		}
+	}
+	// x0 - zero <= -230602.67436398618 lowers node x0 into the drift.
+	if c := d.assert(0, dlNode(0), -230602.67436398618, 100); c != nil {
+		t.Fatalf("false conflict %v", c)
+	}
+	if msg := d.validate(); msg != "" {
+		t.Fatalf("potentials violate an edge: %s", msg)
+	}
+	if d.rounded == 0 {
+		t.Fatal("scenario no longer drifts (adjust constants)")
+	}
+}

@@ -106,6 +106,25 @@ func (e LinExpr) Terms() ([]Var, []float64) {
 	return vars, coeffs
 }
 
+// linTerm is one coeff*var term of a linear expression.
+type linTerm struct {
+	v Var
+	c float64
+}
+
+// linTerms returns the variable terms as one slice in ascending Var order.
+// Everything the solver builds from an expression (slack rows, the
+// objective row) walks this order, so tableau entry order, dual cores and
+// with them the search are the same on every run.
+func (e LinExpr) linTerms() []linTerm {
+	vars, coeffs := e.Terms()
+	ts := make([]linTerm, len(vars))
+	for i, v := range vars {
+		ts[i] = linTerm{v: v, c: coeffs[i]}
+	}
+	return ts
+}
+
 // Eval evaluates e under the given assignment.
 func (e LinExpr) Eval(val func(Var) float64) float64 {
 	s := e.konst

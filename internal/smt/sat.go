@@ -33,9 +33,10 @@ type theoryHooks interface {
 	// It returns a conflict (the set of true literals that are jointly
 	// theory-inconsistent) or nil.
 	assertLit(lit int) []int
-	// finalCheck runs a per-tier theory consistency check at every
-	// propagation quiescence.
-	finalCheck() []int
+	// finalCheck runs a theory consistency check at every propagation
+	// quiescence, reporting whether it did simplex work (solve then polls
+	// the deadline).
+	finalCheck() (conflict []int, checked bool)
 	// completeCheck runs once the assignment is total, just before the
 	// solver would report SAT: it establishes joint consistency across
 	// theory tiers (cheap per-tier checks may each pass while the
@@ -89,7 +90,8 @@ type satSolver struct {
 	unsat     bool // established at level 0
 
 	// deadline, when nonzero, aborts solve with errBudget once passed
-	// (checked periodically), making optimization anytime.
+	// (checked every 64 iterations and after every simplex quiescence
+	// check), making optimization anytime.
 	deadline      time.Time
 	deadlineCheck int
 	// cancel, when non-nil, aborts solve with the caller's cancellation
@@ -498,7 +500,7 @@ func (s *satSolver) solve(maxConflicts int64) (bool, error) {
 		}
 		if !s.deadline.IsZero() {
 			s.deadlineCheck++
-			if s.deadlineCheck%64 == 0 && time.Now().After(s.deadline) {
+			if s.deadlineCheck%64 == 0 && s.expired() {
 				return false, errBudget
 			}
 		}
@@ -507,10 +509,16 @@ func (s *satSolver) solve(maxConflicts int64) (bool, error) {
 			conflictClause = s.theorySync()
 		}
 		if conflictClause == nil {
-			// Eager per-tier theory check at every quiescence, so simplex
-			// infeasibilities surface as soon as their bounds exist rather
-			// than at the next full assignment.
-			if expl := s.theory.finalCheck(); expl != nil {
+			// Theory check at every quiescence, so simplex infeasibilities
+			// and objective-bound violations surface as soon as their
+			// bounds exist rather than at the next full assignment. A
+			// check that ran the simplex may have taken long enough to
+			// matter for the budget, so the deadline is polled after it.
+			expl, checked := s.theory.finalCheck()
+			if checked && s.expired() {
+				return false, errBudget
+			}
+			if expl != nil {
 				conflictClause = negateAll(expl)
 			}
 		}
@@ -520,6 +528,9 @@ func (s *satSolver) solve(maxConflicts int64) (bool, error) {
 			// result is a model.
 			if v := s.pickBranchVar(); v < 0 {
 				if expl := s.theory.completeCheck(); expl != nil {
+					if s.expired() {
+						return false, errBudget
+					}
 					conflictClause = negateAll(expl)
 				} else {
 					return true, nil
@@ -583,6 +594,11 @@ func (s *satSolver) solve(maxConflicts int64) (bool, error) {
 			s.backjump(0)
 		}
 	}
+}
+
+// expired reports whether the deadline is set and has passed.
+func (s *satSolver) expired() bool {
+	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 
 // savePhases records the current (full) assignment as the preferred

@@ -2,8 +2,9 @@ package smt
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"math/big"
+	"slices"
 )
 
 // The theory solver is an incremental bounded-variable simplex in the style
@@ -107,7 +108,7 @@ type simplex struct {
 	// the row was built for, to rebuild on a changed objective.
 	objRow   srow
 	objLive  bool
-	objSaved map[Var]float64
+	objSaved []linTerm
 
 	// Generation-stamped dense accumulator giving O(1) col -> entry-index
 	// lookups while editing one row. A mark is valid when accGen[col] equals
@@ -275,17 +276,18 @@ func (s *simplex) substituteInto(row *[]rent, den *num, v int, c *num) {
 }
 
 // defineSlack creates a variable constrained to equal the given expression
-// (a structural equality, never retracted).
-func (s *simplex) defineSlack(expr map[Var]float64) int {
+// (a structural equality, never retracted). Terms are substituted in slice
+// order, which fixes the row's entry order.
+func (s *simplex) defineSlack(expr []linTerm) int {
 	sl := s.addVar()
 	row := s.rowpool.get()
 	var dn num
 	dn.set(&s.one)
 	s.bumpGen()
 	var cn num
-	for v, c := range expr {
-		s.nst.setFloat(&cn, c)
-		s.substituteInto(&row, &dn, int(v), &cn)
+	for _, t := range expr {
+		s.nst.setFloat(&cn, t.c)
+		s.substituteInto(&row, &dn, int(t.v), &cn)
 	}
 	for i := range row {
 		s.nst.mul(&s.t1, row[i].v, &s.val[row[i].col])
@@ -781,11 +783,10 @@ func (s *simplex) explainRow(b int, belowLower bool) []int {
 }
 
 // minimize optimizes sum(obj_v * x_v) subject to the current bounds, leaving
-// the solver at an optimal feasible vertex. The solver must be feasible on
-// entry (call check first). Returns the exact optimum together with its dual
-// certificate — the literals of the binding bounds whose conjunction forces
-// the objective to the optimum (the theory core used to explain incumbent
-// bound violations) — or an error when the objective is unbounded below.
+// the solver at an optimal feasible vertex, or returns an error when the
+// objective is unbounded below. The solver must be feasible on entry (call
+// check first). At the optimum, objValue reads the exact minimum and
+// dualCore its certificate.
 //
 // The objective lives in the tableau as a persistent common-denominator row
 // (objRow), registered in the column use-lists under objRowID so every pivot
@@ -804,12 +805,12 @@ func (s *simplex) explainRow(b int, belowLower bool) []int {
 // objective-tightening iterations, so after the DPLL(T) search nudges a few
 // bounds the reduced-cost loop typically needs only a handful of pivots to
 // re-reach the optimum.
-func (s *simplex) minimize(obj map[Var]float64) (*big.Rat, []int, error) {
+func (s *simplex) minimize(obj []linTerm) error {
 	s.ensureObjRow(obj)
 	var tMax, t num
 	for iter := 0; ; iter++ {
 		if iter > 1_000_000 {
-			return nil, nil, fmt.Errorf("smt: objective minimization failed to converge")
+			return fmt.Errorf("smt: objective minimization failed to converge")
 		}
 		// Entering variable: smallest index with improving direction
 		// (Bland's rule, guarantees termination). The objective's shared
@@ -844,26 +845,7 @@ func (s *simplex) minimize(obj map[Var]float64) (*big.Rat, []int, error) {
 					panic("smt: minimize broke invariants: " + msg)
 				}
 			}
-			// Dual certificate: every nonbasic variable with a nonzero
-			// reduced cost sits at the bound blocking further improvement;
-			// those bounds jointly imply obj >= optimum.
-			var core []int
-			for i := range cz {
-				k, c := int(cz[i].col), cz[i].v
-				var l int
-				switch {
-				case c.sign() < 0:
-					l = s.upper[k].lit
-				case c.sign() > 0:
-					l = s.lower[k].lit
-				default:
-					continue
-				}
-				if l >= 0 {
-					core = append(core, l)
-				}
-			}
-			return s.objValue(obj), core, nil
+			return nil
 		}
 		// Ratio test: the largest step t >= 0 in direction dir before x_j or
 		// a dependent basic variable hits a bound.
@@ -918,7 +900,7 @@ func (s *simplex) minimize(obj map[Var]float64) (*big.Rat, []int, error) {
 			}
 		}
 		if !hasT {
-			return nil, nil, fmt.Errorf("smt: objective unbounded below")
+			return fmt.Errorf("smt: objective unbounded below")
 		}
 		if tMax.sign() < 0 {
 			tMax.setZero()
@@ -943,9 +925,11 @@ func (s *simplex) minimize(obj map[Var]float64) (*big.Rat, []int, error) {
 
 // ensureObjRow (re)builds the pivot-maintained objective row when none is
 // live or the objective changed; otherwise the registered row is already
-// expressed over the current nonbasic set and there is nothing to do.
-func (s *simplex) ensureObjRow(obj map[Var]float64) {
-	if s.objLive && maps.Equal(s.objSaved, obj) {
+// expressed over the current nonbasic set and there is nothing to do. The
+// row is built in the objective's (ascending Var) order: its entry order is
+// the literal order of every dual core minimize returns.
+func (s *simplex) ensureObjRow(obj []linTerm) {
+	if s.objLive && slices.Equal(s.objSaved, obj) {
 		return
 	}
 	s.clearObjRow()
@@ -954,9 +938,9 @@ func (s *simplex) ensureObjRow(obj map[Var]float64) {
 	den.set(&s.one)
 	s.bumpGen()
 	var cn num
-	for v, c := range obj {
-		s.nst.setFloat(&cn, c)
-		s.substituteInto(&row, &den, int(v), &cn)
+	for _, t := range obj {
+		s.nst.setFloat(&cn, t.c)
+		s.substituteInto(&row, &den, int(t.v), &cn)
 	}
 	for i := range row {
 		k := row[i].col
@@ -968,7 +952,7 @@ func (s *simplex) ensureObjRow(obj map[Var]float64) {
 	s.objRow.lastRed = 0
 	s.maybeReduce(&s.objRow)
 	s.objLive = true
-	s.objSaved = maps.Clone(obj)
+	s.objSaved = slices.Clone(obj)
 }
 
 // clearObjRow unregisters the objective row and returns its storage to the
@@ -995,11 +979,51 @@ func (s *simplex) clearObjRow() {
 	s.objSaved = nil
 }
 
-func (s *simplex) objValue(obj map[Var]float64) *big.Rat {
+// dualCore returns the certificate of the optimum minimize left the
+// simplex at: every nonbasic variable with a nonzero reduced cost sits at
+// the bound blocking further improvement, and the literals of those bounds
+// jointly imply obj >= optimum — the theory core that explains an incumbent
+// bound violation. Literal order follows the objective row.
+func (s *simplex) dualCore() []int {
+	var core []int
+	for _, e := range s.objRow.ent {
+		var l int
+		switch k := int(e.col); e.v.sign() {
+		case -1:
+			l = s.upper[k].lit
+		case 1:
+			l = s.lower[k].lit
+		default:
+			continue
+		}
+		if l >= 0 {
+			core = append(core, l)
+		}
+	}
+	return core
+}
+
+// objEstimate returns the objective at the current point in float64, with
+// a bound on its absolute rounding error.
+func (s *simplex) objEstimate(obj []linTerm) (est, errBound float64) {
+	var mag float64
+	for _, t := range obj {
+		p := t.c * s.val[int(t.v)].float()
+		est += p
+		mag += math.Abs(p)
+	}
+	// Each term and partial sum rounds by at most 2^-53 relative, and no
+	// objective has anywhere near 2^40 terms: 1e-12 of the magnitude sum
+	// covers the accumulated error with room to spare.
+	return est, mag * 1e-12
+}
+
+// objValue returns the objective at the current point, exactly.
+func (s *simplex) objValue(obj []linTerm) *big.Rat {
 	var acc, cn, tmp num
-	for x, c := range obj {
-		s.nst.setFloat(&cn, c)
-		s.nst.mul(&tmp, &cn, &s.val[int(x)])
+	for _, t := range obj {
+		s.nst.setFloat(&cn, t.c)
+		s.nst.mul(&tmp, &cn, &s.val[int(t.v)])
 		s.nst.add(&acc, &acc, &tmp)
 	}
 	return acc.ratCopy()
@@ -1082,9 +1106,9 @@ func (s *simplex) debugCheckInvariants() string {
 		// built for.
 		st.quo(&sum, &sum, &r.den)
 		var want, cn num
-		for v, c := range s.objSaved {
-			st.setFloat(&cn, c)
-			st.mul(&tmp, &cn, &s.val[int(v)])
+		for _, t := range s.objSaved {
+			st.setFloat(&cn, t.c)
+			st.mul(&tmp, &cn, &s.val[int(t.v)])
 			st.add(&want, &want, &tmp)
 		}
 		if st.cmp(&sum, &want) != 0 {

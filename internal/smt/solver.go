@@ -43,31 +43,23 @@ type Solver struct {
 	// the rational simplex (the pre-tiered behavior). Ablation/test-only;
 	// set before the first Assert.
 	diffOff bool
-	// forceLazy makes Minimize use the lazy objective tier regardless of
-	// objective size (test-only: exercises the difference tier + dual-core
-	// path on instances small enough to compare against other strategies).
-	forceLazy bool
-	// residualDirty is set when a bound the quiescence check must act on
-	// was installed since the simplex last verified consistency:
-	// linear-tier bounds always, difference bounds only under the eager
-	// strategy (where they run the simplex protocol). Quiescence checks
-	// are skipped while it is clear.
+	// residualDirty is set when a linear-tier bound was installed since the
+	// simplex last verified consistency. Before the first incumbent,
+	// quiescence checks are skipped while it is clear.
 	residualDirty bool
-	// eagerCheck marks the eager Minimize strategy: difference atoms
-	// bypass the difference engine and assert straight into the simplex,
-	// and every bound triggers a quiescence check — maximal search-tree
-	// pruning, which wins on small (window-sized) instances.
-	eagerCheck bool
 
 	// Objective tier (set by Minimize): the branch-and-bound improvement
 	// bound obj <= objBound never becomes a tableau row — its nine-orders-
 	// of-magnitude coefficients would poison the ±1 network tableau with
-	// huge-denominator rationals. Instead completeCheck minimizes the
-	// objective exactly within each full assignment and compares against
-	// the bound, explaining violations with the LP dual's binding bounds.
-	objTerms    map[Var]float64
+	// huge-denominator rationals. Instead the objective is minimized exactly
+	// over the asserted bounds (at every quiescence where a bound moved once
+	// an incumbent exists, and at every full assignment) and compared
+	// against the bound, explaining violations with the LP dual's binding
+	// bounds. objTerms is in ascending Var order.
+	objTerms    []linTerm
 	objActive   bool
-	objBoundRat *big.Rat // tightest asserted improvement bound, nil before
+	objBound    float64  // tightest asserted improvement bound...
+	objBoundRat *big.Rat // ...exactly; nil before the first incumbent
 	objBoundLit int      // literal that asserted it
 	lastObjMin  *big.Rat // exact constrained optimum at the last full assignment
 	objErr      error    // deferred minimize failure (unbounded objective)
@@ -166,9 +158,7 @@ func (s *Solver) DisableDyadic() { s.sx.nst.disabled = true }
 type TierStats struct {
 	// DiffAtoms and LinAtoms count interned atoms by classification:
 	// difference-shaped vs genuinely linear. Difference atoms are asserted
-	// to the difference engine under the lazy strategy; the eager strategy
-	// (small instances) runs them through the simplex, so DiffAsserts — not
-	// DiffAtoms — says how much the engine actually did.
+	// to the difference engine, linear atoms only to the simplex.
 	DiffAtoms, LinAtoms int
 	// DiffAsserts, DiffRepairs and DiffConflicts are the difference
 	// engine's activity counters: edges asserted, potential repairs, and
@@ -246,28 +236,24 @@ func (s *Solver) isTheoryVar(v int) bool {
 func (s *Solver) assertLit(lit int) []int {
 	rec := s.atomOfVar[litVar(lit)]
 	if rec.objBound {
-		// Improvement bound obj <= k: record the tightest one for
-		// completeCheck. Pinned true at level 0, so it is never negated and
-		// never backtracked.
+		// Improvement bound obj <= k: record the tightest one for the
+		// objective checks. Pinned true at level 0, so it is never negated
+		// and never backtracked.
 		if !litNeg(lit) {
 			if kr := ratOf(rec.k); s.objBoundRat == nil || kr.Cmp(s.objBoundRat) < 0 {
-				s.objBoundRat = kr
+				s.objBound, s.objBoundRat = rec.k, kr
 				s.objBoundLit = lit
 			}
 		}
 		return nil
 	}
-	if rec.diff && !s.eagerCheck {
-		// Difference tier (lazy strategy): the atom (or its negation) is a
-		// single constraint-graph edge. The incremental negative-cycle
-		// check is the search-time consistency test; the bound is then
-		// mirrored onto the simplex trail (a cheap record — no tableau
-		// work until the next full-assignment check) so joint models and
-		// the exact objective minimization see the whole constraint set.
-		// Under the eager strategy difference atoms skip the engine
-		// entirely and run the classic simplex protocol below: on tiny
-		// window instances the per-quiescence joint check prunes better
-		// than cycle cores do (measured on BenchmarkSchedEngine).
+	if rec.diff {
+		// Difference tier: the atom (or its negation) is a single
+		// constraint-graph edge. The incremental negative-cycle check is
+		// the search-time consistency test; the bound is then mirrored
+		// onto the simplex trail (a cheap record — no tableau work until
+		// the next joint check) so joint models and the exact objective
+		// minimization see the whole constraint set.
 		var conflict []int
 		if !litNeg(lit) {
 			w := rec.k
@@ -318,21 +304,35 @@ func (s *Solver) simplexBound(lit int, rec atomRec) []int {
 	return conflict
 }
 
-func (s *Solver) finalCheck() []int {
-	// The difference tier is kept consistent edge-by-edge and its mirrored
-	// simplex bounds are only records, so a quiescence check is needed only
-	// when a genuinely linear (residual-tier) bound moved — with every
-	// scheduling atom difference-shaped, the common case is a no-op.
-	if !s.residualDirty {
-		return nil
+// finalCheck runs at every propagation quiescence. Before the first
+// incumbent, the difference tier is kept consistent edge-by-edge and its
+// mirrored simplex bounds are only records, so a check is needed only when
+// a genuinely linear (residual-tier) bound moved — with every scheduling
+// atom difference-shaped, the common case is a no-op. Once an incumbent
+// bounds the objective, any moved bound runs the joint check and an exact
+// minimization over the bounds asserted so far: a partial assignment whose
+// LP relaxation already exceeds the bound is cut off here, with the same
+// dual-core conflict completeCheck builds, instead of being completed.
+// checked reports whether the simplex ran.
+func (s *Solver) finalCheck() (conflict []int, checked bool) {
+	prune := s.objBoundRat != nil && s.objActive && s.objErr == nil
+	if prune && !s.sx.needCheck || !prune && !s.residualDirty {
+		return nil, false
 	}
-	conflict, ok := s.timedCheck()
-	if ok {
-		s.residualDirty = false
-		return nil
+	t0 := time.Now()
+	defer func() { s.simplexTime += time.Since(t0) }()
+	conflict, ok := s.sx.check()
+	if !ok {
+		s.auditConflict(conflict, "finalCheck")
+		return conflict, true
 	}
-	s.auditConflict(conflict, "finalCheck")
-	return conflict
+	s.residualDirty = false
+	if !prune || s.sx.minimize(s.objTerms) != nil {
+		// No incumbent yet, or the objective is unbounded over a partial
+		// assignment: nothing to prune.
+		return nil, true
+	}
+	return s.objectiveConflict(nil, "finalCheck/objective"), true
 }
 
 // completeCheck runs once the SAT core has a full assignment, in two steps.
@@ -350,8 +350,10 @@ func (s *Solver) completeCheck() []int {
 		return nil
 	}
 	s.jointChecks++
+	t0 := time.Now()
+	defer func() { s.simplexTime += time.Since(t0) }()
 	if s.sx.needCheck {
-		conflict, ok := s.timedCheck()
+		conflict, ok := s.sx.check()
 		if !ok {
 			s.auditConflict(conflict, "completeCheck")
 			return conflict
@@ -361,31 +363,37 @@ func (s *Solver) completeCheck() []int {
 	if !objective {
 		return nil
 	}
-	t0 := time.Now()
-	min, core, err := s.sx.minimize(s.objTerms)
-	s.simplexTime += time.Since(t0)
-	if err != nil {
+	if err := s.sx.minimize(s.objTerms); err != nil {
 		// Unbounded objective: not a conflict any clause can express;
 		// stash it for Minimize to surface after solve returns.
 		s.objErr = err
 		return nil
 	}
-	s.lastObjMin = min
-	if s.objBoundRat != nil && min.Cmp(s.objBoundRat) > 0 {
-		conflict := append(core, s.objBoundLit)
-		s.auditConflict(conflict, "completeCheck/objective")
-		return conflict
-	}
-	return nil
+	s.lastObjMin = s.sx.objValue(s.objTerms)
+	return s.objectiveConflict(s.lastObjMin, "completeCheck/objective")
 }
 
-// timedCheck runs the simplex feasibility check, accounting its wall time
-// to the simplex tier.
-func (s *Solver) timedCheck() ([]int, bool) {
-	t0 := time.Now()
-	conflict, ok := s.sx.check()
-	s.simplexTime += time.Since(t0)
-	return conflict, ok
+// objectiveConflict compares the minimum the simplex sits at against the
+// incumbent bound and returns the violation's conflict — the dual core plus
+// the bound's literal — or nil. min is the exact minimum when the caller
+// has it; when nil, a float estimate settles the common no-violation case
+// and the exact value is computed only when the estimate cannot.
+func (s *Solver) objectiveConflict(min *big.Rat, origin string) []int {
+	if s.objBoundRat == nil {
+		return nil
+	}
+	if min == nil {
+		if est, tol := s.sx.objEstimate(s.objTerms); est+tol <= s.objBound {
+			return nil
+		}
+		min = s.sx.objValue(s.objTerms)
+	}
+	if min.Cmp(s.objBoundRat) <= 0 {
+		return nil
+	}
+	conflict := append(s.sx.dualCore(), s.objBoundLit)
+	s.auditConflict(conflict, origin)
+	return conflict
 }
 
 func (s *Solver) pushLevel() {
@@ -422,17 +430,13 @@ func (s *Solver) slackFor(e LinExpr) int {
 	} else if sl, ok := s.slackByKey[e.key()]; ok {
 		return sl
 	}
-	m := map[Var]float64{}
-	for i, v := range vars {
-		m[v] = coeffs[i]
-	}
-	sl := s.sx.defineSlack(m)
+	sl := s.sx.defineSlack(e.linTerms())
 	if usePair {
 		s.slackByPair[pk] = sl
 	} else {
 		s.slackByKey[e.key()] = sl
 	}
-	s.slackExpr[sl] = LinExpr{terms: m}
+	s.slackExpr[sl] = LinExpr{terms: e.terms} // expressions are immutable: share
 	return sl
 }
 
@@ -454,8 +458,8 @@ func (s *Solver) auditConflict(expl []int, origin string) {
 		var lhs float64
 		switch {
 		case rec.objBound:
-			for v, c := range s.objTerms {
-				lhs += c * s.debugKnownPoint(v)
+			for _, t := range s.objTerms {
+				lhs += t.c * s.debugKnownPoint(t.v)
 			}
 		default:
 			if e, ok := s.slackExpr[rec.slack]; ok {
@@ -819,13 +823,14 @@ type MinimizeOpts struct {
 var ErrCanceled = errors.New("smt: optimization canceled")
 
 // Minimize finds a model minimizing obj (within opts.Eps) by branch and
-// bound: every time the SAT+theory search completes an assignment, the
-// objective is minimized exactly within it by simplex (part of
-// completeCheck), and the bound obj <= incumbent - Eps is installed in the
-// objective tier before continuing. Returns the best model found; ok is
-// false if the constraints are unsatisfiable. A solver optimizes one
-// objective: call Minimize at most once per Solver (further Asserts and
-// Checks remain valid afterwards).
+// bound in the objective tier: every time the SAT+theory search completes an
+// assignment, the objective is minimized exactly within it by simplex (part
+// of completeCheck), and the bound obj <= incumbent - Eps is installed as a
+// pseudo-atom before continuing; from then on every quiescence prunes
+// partial assignments whose relaxation cannot beat it (finalCheck). Returns
+// the best model found; ok is false if the constraints are unsatisfiable. A
+// solver optimizes one objective: call Minimize at most once per Solver
+// (further Asserts and Checks remain valid afterwards).
 func (s *Solver) Minimize(obj LinExpr, opts ...MinimizeOpts) (*Model, bool, error) {
 	opt := MinimizeOpts{Eps: 1e-5, MaxIter: 10000}
 	if len(opts) > 0 {
@@ -838,19 +843,9 @@ func (s *Solver) Minimize(obj LinExpr, opts ...MinimizeOpts) (*Model, bool, erro
 		}
 	}
 	var best *Model
-	objTerms := map[Var]float64{}
-	vars, coeffs := obj.Terms()
-	for i, v := range vars {
-		objTerms[v] = coeffs[i]
-	}
-	eager := !s.forceLazy && len(objTerms) <= eagerObjectiveMax
-	if eager {
-		s.eagerCheck = true
-	} else {
-		s.objTerms = objTerms
-		s.objActive = true
-		s.objErr = nil
-	}
+	s.objTerms = obj.linTerms()
+	s.objActive = true
+	s.objErr = nil
 	debugTrace := s.debugMinimize
 	if opt.Deadline > 0 {
 		s.sat.deadline = time.Now().Add(opt.Deadline)
@@ -878,23 +873,9 @@ func (s *Solver) Minimize(obj LinExpr, opts ...MinimizeOpts) (*Model, bool, erro
 		if s.objErr != nil {
 			return nil, false, s.objErr
 		}
-		var val float64
-		if eager {
-			// Eager strategy: minimize within the admitted assignment here
-			// (quiescence checks kept the simplex feasible throughout).
-			t0 := time.Now()
-			minRat, _, merr := s.sx.minimize(objTerms)
-			s.simplexTime += time.Since(t0)
-			if merr != nil {
-				return nil, false, merr
-			}
-			val, _ = minRat.Float64()
-		} else {
-			// Lazy strategy: completeCheck already minimized the objective
-			// exactly over both tiers' constraints and left the simplex at
-			// the optimal vertex.
-			val, _ = s.lastObjMin.Float64()
-		}
+		// completeCheck already minimized the objective exactly over both
+		// tiers' constraints and left the simplex at the optimal vertex.
+		val, _ := s.lastObjMin.Float64()
 		if debugTrace {
 			fmt.Printf("smt minimize: iter %d incumbent %.9g (%v elapsed)\n", iter, val+obj.Constant(), time.Since(tLoop))
 		}
@@ -909,26 +890,19 @@ func (s *Solver) Minimize(obj LinExpr, opts ...MinimizeOpts) (*Model, bool, erro
 		s.sat.savePhases()
 		// Require strict improvement and continue searching.
 		margin := math.Max(opt.Eps, math.Abs(val)*1e-9)
-		if eager {
-			s.Assert(Le(obj.Sub(Const(obj.Constant())), Const(val-margin)))
-		} else {
-			s.assertObjectiveBound(val - margin)
-		}
+		s.assertObjectiveBound(val - margin)
 		if iter == 0 {
 			// Root relaxation bound: the objective minimum over the
 			// always-true (level-0) constraints alone — every model's
-			// objective is at least this. The bound-tightening Assert just
+			// objective is at least this. The bound assertion just
 			// backjumped to level 0, so the simplex holds exactly those
 			// bounds. Often the first incumbent already meets it, skipping
 			// both the tightening rounds and the final UNSAT proof.
-			if conflict, ok := s.timedCheck(); ok && conflict == nil {
-				t0 := time.Now()
-				lb, _, lberr := s.sx.minimize(objTerms)
-				s.simplexTime += time.Since(t0)
-				if lberr == nil {
-					rootLB, _ = lb.Float64()
-				}
+			t0 := time.Now()
+			if _, ok := s.sx.check(); ok && s.sx.minimize(s.objTerms) == nil {
+				rootLB, _ = s.sx.objValue(s.objTerms).Float64()
 			}
+			s.simplexTime += time.Since(t0)
 		}
 		if val-margin < rootLB {
 			if debugTrace {
@@ -944,21 +918,10 @@ func (s *Solver) Minimize(obj LinExpr, opts ...MinimizeOpts) (*Model, bool, erro
 	return best, true, nil
 }
 
-// eagerObjectiveMax bounds the objective size for which Minimize uses the
-// eager strategy: the improvement bound becomes an ordinary tableau row and
-// every quiescence runs a joint simplex check, pruning the search tree as
-// early as possible. Small instances (the partitioned engine's windows)
-// converge fastest this way, and their tableaus are too small for the
-// row's mixed-magnitude coefficients to hurt. Larger objectives switch to
-// the lazy objective tier: the bound stays out of the tableau — preserving
-// cheap dyadic pivots on the ±1 network rows — and is enforced by exact
-// minimization at complete assignments, with dual-certificate conflicts.
-const eagerObjectiveMax = 128
-
 // assertObjectiveBound pins the strict-improvement bound obj <= k for the
 // branch-and-bound loop. The bound lives in the objective tier: it is a
 // SAT-visible pseudo-atom (so learned clauses can cite it) whose theory
-// content completeCheck enforces by exact minimization.
+// content finalCheck and completeCheck enforce by exact minimization.
 func (s *Solver) assertObjectiveBound(k float64) {
 	s.sat.backjump(0)
 	v := s.sat.newVar()

@@ -52,11 +52,28 @@ func buildRandomSystem(s *Solver, rng *rand.Rand) LinExpr {
 	return obj
 }
 
-// TestTieredDifferentialFuzz solves random difference-constraint systems
-// with all three theory strategies — tiered (difference engine + lazy
-// objective), eager (simplex row bound), and simplex-only (difference tier
-// disabled) — and they must agree on satisfiability and, when satisfiable,
-// on the minimal objective within Eps.
+// oracleModes are the solver configurations the objective tier is checked
+// against: the production path, the same search with every atom routed
+// through the simplex (no difference tier), and with every simplex value in
+// exact big.Rat (no dyadic fast path).
+var oracleModes = []string{"tiered", "simplex-only", "rational"}
+
+func newModeSolver(mode string) *Solver {
+	s := NewSolver()
+	switch mode {
+	case "simplex-only":
+		s.DisableDiffLogic()
+	case "rational":
+		s.DisableDyadic()
+	}
+	return s
+}
+
+// TestTieredDifferentialFuzz solves random difference-constraint systems on
+// the production path and on the DisableDiffLogic and DisableDyadic
+// oracles; all three must agree on satisfiability and, when satisfiable, on
+// the minimal objective to 1e-9 (the data are small integers, so optima are
+// exact vertex values, not merely within Eps).
 func TestTieredDifferentialFuzz(t *testing.T) {
 	trials := 150
 	if testing.Short() {
@@ -71,14 +88,8 @@ func TestTieredDifferentialFuzz(t *testing.T) {
 			obj  float64
 		}
 		var outs []outcome
-		for _, mode := range []string{"tiered-lazy", "eager", "simplex-only"} {
-			s := NewSolver()
-			switch mode {
-			case "tiered-lazy":
-				s.forceLazy = true
-			case "simplex-only":
-				s.DisableDiffLogic()
-			}
+		for _, mode := range oracleModes {
+			s := newModeSolver(mode)
 			obj := buildRandomSystem(s, rand.New(rand.NewSource(seed)))
 			m, ok, err := s.Minimize(obj)
 			if err != nil {
@@ -95,7 +106,7 @@ func TestTieredDifferentialFuzz(t *testing.T) {
 				t.Fatalf("trial %d: %s says sat=%v but %s says sat=%v",
 					trial, outs[0].name, outs[0].ok, o.name, o.ok)
 			}
-			if o.ok && math.Abs(o.obj-outs[0].obj) > 1e-3 {
+			if o.ok && math.Abs(o.obj-outs[0].obj) > 1e-9 {
 				t.Fatalf("trial %d: %s objective %v but %s objective %v",
 					trial, outs[0].name, outs[0].obj, o.name, o.obj)
 			}
@@ -103,9 +114,10 @@ func TestTieredDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestLazyObjectiveTierExactness: the lazy strategy (objective bound outside
-// the tableau, dual-certificate conflicts) reaches the same exact optimum as
-// the eager strategy on a problem with several tightening rounds.
+// TestLazyObjectiveTierExactness: the objective tier (improvement bound
+// kept out of the tableau, dual-certificate conflicts, quiescence pruning)
+// reaches the exact optimum of a problem with several tightening rounds,
+// equal to both oracles' to 1e-9, and it runs on the difference engine.
 func TestLazyObjectiveTierExactness(t *testing.T) {
 	build := func(s *Solver) LinExpr {
 		obj := Const(0)
@@ -115,29 +127,84 @@ func TestLazyObjectiveTierExactness(t *testing.T) {
 			s.Assert(Ge(V(c), Const(0)))
 			s.Assert(Implies(BoolLit(b), Ge(V(c), Const(float64(20+i)))))
 			s.Assert(Implies(Not(BoolLit(b)), Ge(V(c), Const(float64(2+i)))))
-			obj = obj.Add(V(c))
+			// A non-dyadic weight, like the decoherence terms (1-omega)/T_q.
+			obj = obj.Add(Term(c, 1+1.0/3))
 		}
 		return obj
 	}
-	want := 2.0 + 3 + 4 + 5 + 6
-	lazy := NewSolver()
-	lazy.forceLazy = true
-	m, ok, err := lazy.Minimize(build(lazy))
-	if err != nil || !ok {
-		t.Fatalf("lazy Minimize: ok=%v err=%v", ok, err)
+	want := (2.0 + 3 + 4 + 5 + 6) * (1 + 1.0/3)
+	for _, mode := range oracleModes {
+		s := newModeSolver(mode)
+		m, ok, err := s.Minimize(build(s))
+		if err != nil || !ok {
+			t.Fatalf("%s Minimize: ok=%v err=%v", mode, ok, err)
+		}
+		if math.Abs(m.Objective-want) > 1e-9 {
+			t.Fatalf("%s objective = %v, want %v", mode, m.Objective, want)
+		}
+		if mode != "tiered" {
+			continue
+		}
+		ts := s.TierStats()
+		if ts.DiffAtoms == 0 {
+			t.Fatalf("difference tier saw no atoms: %+v", ts)
+		}
+		if ts.JointChecks == 0 {
+			t.Fatalf("no joint complete checks ran: %+v", ts)
+		}
+		if ts.DiffAsserts == 0 {
+			t.Fatalf("difference engine asserted no edges: %+v", ts)
+		}
 	}
-	if math.Abs(m.Objective-want) > 1e-3 {
-		t.Fatalf("lazy objective = %v, want %v", m.Objective, want)
+}
+
+// TestMinimizeCountsDeterministic: two fresh solvers on one encoding search
+// identically — same pivots, conflicts and decisions. The encoding has a
+// wide objective with non-dyadic weights and multi-term slacks, so a
+// tableau built in map order would reorder dual cores between runs.
+func TestMinimizeCountsDeterministic(t *testing.T) {
+	run := func() (pivots, conflicts, decisions int64, obj float64) {
+		s := NewSolver()
+		rng := rand.New(rand.NewSource(7))
+		n := 10
+		vars := make([]Var, n)
+		objE := Const(0)
+		for i := range vars {
+			vars[i] = s.Real()
+			s.Assert(Ge(V(vars[i]), Const(0)))
+			s.Assert(Le(V(vars[i]), Const(400)))
+			objE = objE.Add(Term(vars[i], float64(1+rng.Intn(7))/3))
+		}
+		for k := 0; k < 2*n; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i == j {
+				continue
+			}
+			b := s.Bool()
+			gap := float64(5 + rng.Intn(40))
+			s.Assert(Implies(BoolLit(b), Ge(V(vars[i]).Sub(V(vars[j])), Const(gap))))
+			s.Assert(Implies(Not(BoolLit(b)), Ge(V(vars[j]).Sub(V(vars[i])), Const(gap))))
+			if k%5 == 0 {
+				s.Assert(Le(V(vars[i]).Add(V(vars[j])).Add(V(vars[(i+j)%n])), Const(float64(300+rng.Intn(300)))))
+			}
+		}
+		m, ok, err := s.Minimize(objE)
+		if err != nil || !ok {
+			t.Fatalf("Minimize: ok=%v err=%v", ok, err)
+		}
+		d, c := s.Stats()
+		return s.TierStats().Pivots, c, d, m.Objective
 	}
-	ts := lazy.TierStats()
-	if ts.DiffAtoms == 0 {
-		t.Fatalf("difference tier saw no atoms: %+v", ts)
+	p1, c1, d1, o1 := run()
+	for i := 0; i < 3; i++ {
+		p2, c2, d2, o2 := run()
+		if p1 != p2 || c1 != c2 || d1 != d2 || o1 != o2 {
+			t.Fatalf("run %d drifted: pivots %d vs %d, conflicts %d vs %d, decisions %d vs %d, objective %v vs %v",
+				i+2, p1, p2, c1, c2, d1, d2, o1, o2)
+		}
 	}
-	if ts.JointChecks == 0 {
-		t.Fatalf("no joint complete checks ran: %+v", ts)
-	}
-	if ts.DiffAsserts == 0 {
-		t.Fatalf("difference engine asserted no edges: %+v", ts)
+	if p1 == 0 || c1 == 0 {
+		t.Fatalf("encoding too easy to show drift: pivots=%d conflicts=%d", p1, c1)
 	}
 }
 
