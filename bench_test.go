@@ -423,6 +423,7 @@ func BenchmarkRBExperiment(b *testing.B) {
 	dev := device.MustNew(device.Poughkeepsie, 1)
 	gi, gj := device.NewEdge(10, 15), device.NewEdge(11, 12)
 	cfg := benchRB()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := rb.MeasureSimultaneous(dev, gi, gj, cfg); err != nil {
 			b.Fatal(err)
@@ -442,6 +443,7 @@ func BenchmarkNoiseExecutor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Execute(dev, s, 64, int64(i)); err != nil {

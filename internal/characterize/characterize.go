@@ -14,7 +14,10 @@ package characterize
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtalk/internal/core"
@@ -231,52 +234,83 @@ func clampRes(v float64) float64 {
 // planned pair (batches model hardware parallelism: they cost one experiment
 // slot each but the measurements are identical to serial execution, since
 // >= 2-hop separation guarantees non-interference on these devices).
+//
+// Each experiment's seed is assigned in plan order, as a serial campaign
+// draws them; the experiments then run on GOMAXPROCS workers and the
+// report is collected in plan order, so it does not depend on the worker
+// count.
 func Run(dev *device.Device, policy Policy, highPairs []device.EdgePair, cfg rb.Config) (*Report, error) {
 	plan := BuildPlan(dev, policy, highPairs, cfg.Seed)
 	rep := &Report{Device: dev.Name, Policy: policy, Plan: plan, MachineTime: plan.MachineTime(cfg)}
-	indep := map[device.Edge]float64{}
-	edgeSeed := cfg.Seed
-	independentOf := func(e device.Edge) (float64, error) {
-		if v, ok := indep[e]; ok {
-			return v, nil
-		}
-		c := cfg
-		edgeSeed++
-		c.Seed = edgeSeed
-		out, err := rb.MeasureIndependent(dev, e, c)
-		if err != nil {
-			return 0, err
-		}
-		indep[e] = out.CNOTError
-		return out.CNOTError, nil
+	// experiment is one RB run: independent RB of pair.First, or SRB of
+	// pair. est holds the CNOT error estimates it returns.
+	type experiment struct {
+		pair device.EdgePair
+		srb  bool
+		seed int64
+		est  [2]float64
+		err  error
 	}
-	pairSeed := cfg.Seed + 1_000_000
+	var exps []experiment
+	indep := map[device.Edge]int{} // edge -> its independent experiment
+	edgeSeed, pairSeed := cfg.Seed, cfg.Seed+1_000_000
 	for _, batch := range plan.Batches {
 		for _, p := range batch {
-			i1, err := independentOf(p.First)
-			if err != nil {
-				return nil, err
+			for _, e := range []device.Edge{p.First, p.Second} {
+				if _, ok := indep[e]; !ok {
+					edgeSeed++
+					indep[e] = len(exps)
+					exps = append(exps, experiment{pair: device.EdgePair{First: e}, seed: edgeSeed})
+				}
 			}
-			i2, err := independentOf(p.Second)
-			if err != nil {
-				return nil, err
-			}
-			c := cfg
 			pairSeed++
-			c.Seed = pairSeed
-			o1, o2, err := rb.MeasureSimultaneous(dev, p.First, p.Second, c)
-			if err != nil {
-				return nil, err
-			}
+			exps = append(exps, experiment{pair: p, srb: true, seed: pairSeed})
+		}
+	}
+	parallelFor(len(exps), func(i int) {
+		x := &exps[i]
+		c := cfg
+		c.Seed = x.seed
+		if x.srb {
+			o1, o2, err := rb.MeasureSimultaneous(dev, x.pair.First, x.pair.Second, c)
+			x.est, x.err = [2]float64{o1.CNOTError, o2.CNOTError}, err
+		} else {
+			out, err := rb.MeasureIndependent(dev, x.pair.First, c)
+			x.est, x.err = [2]float64{out.CNOTError}, err
+		}
+	})
+	for _, x := range exps {
+		if x.err != nil {
+			return nil, x.err
+		}
+	}
+	for _, x := range exps {
+		if x.srb {
 			rep.Measurements = append(rep.Measurements, Measurement{
-				Pair:       p,
-				CondFirst:  o1.CNOTError,
-				CondSecond: o2.CNOTError,
-				IndepFirst: i1, IndepSecond: i2,
+				Pair:       x.pair,
+				CondFirst:  x.est[0],
+				CondSecond: x.est[1],
+				IndepFirst: exps[indep[x.pair.First]].est[0], IndepSecond: exps[indep[x.pair.Second]].est[0],
 			})
 		}
 	}
 	return rep, nil
+}
+
+// parallelFor calls f(0..n-1) on min(GOMAXPROCS, n) goroutines.
+func parallelFor(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // NoiseData converts a campaign report into scheduler input: measured

@@ -247,15 +247,9 @@ func TestEqualsUpToPhase(t *testing.T) {
 	if !h.EqualsUpToPhase(phased, 1e-9) {
 		t.Fatal("global phase must be ignored")
 	}
-	if h.PhaseKey(6) != phased.PhaseKey(6) {
-		t.Fatal("phase keys must agree up to global phase")
-	}
 	other := CIdentity(2)
 	if h.EqualsUpToPhase(other, 1e-9) {
 		t.Fatal("H != I")
-	}
-	if h.PhaseKey(6) == other.PhaseKey(6) {
-		t.Fatal("distinct unitaries must have distinct keys")
 	}
 }
 

@@ -312,37 +312,3 @@ func (m *CMatrix) EqualsUpToPhase(other *CMatrix, tol float64) bool {
 	}
 	return true
 }
-
-// PhaseKey returns a canonical fingerprint of m modulo global phase,
-// quantized to 'digits' decimal places. Two unitaries equal up to global
-// phase produce the same key with overwhelming probability, enabling
-// hash-based deduplication during Clifford group enumeration.
-func (m *CMatrix) PhaseKey(digits int) string {
-	// Normalize phase: make the first entry with |v| > eps real positive.
-	norm := m.Clone()
-	for _, v := range m.Data {
-		if cmplx.Abs(v) > 1e-9 {
-			ph := v / complex(cmplx.Abs(v), 0)
-			inv := cmplx.Conj(ph)
-			for i := range norm.Data {
-				norm.Data[i] *= inv
-			}
-			break
-		}
-	}
-	scale := math.Pow(10, float64(digits))
-	buf := make([]byte, 0, len(norm.Data)*8)
-	for _, v := range norm.Data {
-		re := math.Round(real(v)*scale) / scale
-		im := math.Round(imag(v)*scale) / scale
-		// Avoid -0.
-		if re == 0 {
-			re = 0
-		}
-		if im == 0 {
-			im = 0
-		}
-		buf = append(buf, fmt.Sprintf("%.*f,%.*f;", digits, re, digits, im)...)
-	}
-	return string(buf)
-}

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xtalk/internal/linalg"
@@ -15,11 +16,25 @@ import (
 // Distribution is a probability distribution over bitstring outcomes.
 type Distribution map[string]float64
 
+// sortedKeys returns the outcomes of the distributions, each once, in
+// ascending order. Sums run in this order so that their last bits do not
+// depend on map iteration order.
+func sortedKeys(ds ...Distribution) []string {
+	var keys []string
+	for _, d := range ds {
+		for k := range d {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return slices.Compact(keys)
+}
+
 // Normalize rescales the distribution to sum to 1 (no-op for empty).
 func (d Distribution) Normalize() {
 	var s float64
-	for _, p := range d {
-		s += p
+	for _, k := range sortedKeys(d) {
+		s += d[k]
 	}
 	if s <= 0 {
 		return
@@ -31,15 +46,8 @@ func (d Distribution) Normalize() {
 
 // TotalVariationDistance returns 0.5 * sum |p - q|.
 func TotalVariationDistance(p, q Distribution) float64 {
-	keys := map[string]bool{}
-	for k := range p {
-		keys[k] = true
-	}
-	for k := range q {
-		keys[k] = true
-	}
 	var s float64
-	for k := range keys {
+	for _, k := range sortedKeys(p, q) {
 		s += math.Abs(p[k] - q[k])
 	}
 	return s / 2
@@ -52,7 +60,8 @@ func TotalVariationDistance(p, q Distribution) float64 {
 func CrossEntropy(ideal, measured Distribution) float64 {
 	const floor = 1e-6
 	var s float64
-	for x, p := range ideal {
+	for _, x := range sortedKeys(ideal) {
+		p := ideal[x]
 		if p <= 0 {
 			continue
 		}
@@ -69,8 +78,8 @@ func CrossEntropy(ideal, measured Distribution) float64 {
 // theoretical floor of CrossEntropy against itself.
 func Entropy(p Distribution) float64 {
 	var s float64
-	for _, v := range p {
-		if v > 0 {
+	for _, k := range sortedKeys(p) {
+		if v := p[k]; v > 0 {
 			s -= v * math.Log(v)
 		}
 	}
@@ -121,6 +130,9 @@ func MitigateReadout(measured Distribution, flip []float64) (Distribution, error
 		cur[k] = v
 	}
 	for i := 0; i < n; i++ {
+		// Each outcome of next takes at most two terms, and float addition
+		// commutes, so this pass is exact in any order; only the sum in
+		// Normalize needs a fixed order.
 		next := Distribution{}
 		for k, v := range cur {
 			if v == 0 {
@@ -142,7 +154,6 @@ func MitigateReadout(measured Distribution, flip []float64) (Distribution, error
 		if v < 0 {
 			cur[k] = 0
 		}
-		_ = v
 	}
 	cur.Normalize()
 	return cur, nil

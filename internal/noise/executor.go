@@ -73,7 +73,9 @@ func NewExecutor(dev *device.Device) *Executor {
 }
 
 // Run executes the schedule for opts.Shots trajectories and returns the
-// outcome histogram over the measured qubits.
+// outcome histogram over the measured qubits. Everything that depends only
+// on the schedule — idle windows, gate matrices, error rates, measurement
+// slots — is built once into a step table; the shot loop only draws.
 func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	if opts.Shots <= 0 {
 		opts.Shots = 1024
@@ -83,12 +85,70 @@ func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	}
 	// Compact to active qubits to keep the statevector small.
 	compact, remap := s.Circ.Compact()
-	phys := make([]int, compact.NQubits) // compact index -> physical qubit
-	for p, cq := range remap {
-		phys[cq] = p
+	measured := measuredQubits(s.Circ)
+	steps := ex.buildSteps(s, remap, measured, opts)
+	rng := rand.New(rand.NewSource(opts.Seed))
+	outcome := map[string]int{} // outcome -> its index in tally
+	var tally []int
+	state := quant.NewState(compact.NQubits)
+	// Every shot writes the same measurement slots, so the buffer needs no
+	// reset between shots.
+	bits := make([]byte, len(measured))
+	for shot := 0; shot < opts.Shots; shot++ {
+		state.Reset()
+		for i := range steps {
+			st := &steps[i]
+			for _, ch := range st.idle {
+				state.ApplyKraus(ch.Ks, ch.Q, rng)
+			}
+			if st.gate.kind == opMeasure {
+				out := state.MeasureQubit(st.gate.q0, rng)
+				if !opts.DisableReadoutErrors && rng.Float64() < st.readout {
+					out ^= 1
+				}
+				bits[st.slot] = byte('0' + out)
+				continue
+			}
+			st.gate.apply(state)
+			if st.gateError && rng.Float64() < st.errRate {
+				applyRandomTwoQubitPauli(state, st.gate.q0, st.gate.q1, rng)
+			}
+		}
+		// Look the outcome up before inserting it: only a new outcome's
+		// key is allocated.
+		k, ok := outcome[string(bits)]
+		if !ok {
+			k = len(tally)
+			outcome[string(bits)] = k
+			tally = append(tally, 0)
+		}
+		tally[k]++
 	}
+	counts := make(map[string]int, len(outcome))
+	for key, k := range outcome {
+		counts[key] = tally[k]
+	}
+	return &Result{Counts: counts, MeasuredQubits: measured, Shots: opts.Shots}, nil
+}
 
-	// Order events by start time (stable on gate ID for determinism).
+// step is one schedule event as the shot loop runs it.
+type step struct {
+	// idle lists the decoherence channels on the gate's operands since
+	// each one's previous operation ended, in operand order.
+	idle []quant.Channel
+	gate gateOp
+	// gateError is set for a two-qubit gate under gate errors; errRate is
+	// its Pauli error probability.
+	gateError bool
+	errRate   float64
+	// slot and readout are a measurement's bit index and flip probability.
+	slot    int
+	readout float64
+}
+
+// buildSteps orders the schedule's gates by start time (stable on gate ID)
+// and resolves each into a step.
+func (ex *Executor) buildSteps(s *core.Schedule, remap map[int]int, measured []int, opts Options) []step {
 	var events []event
 	for _, g := range s.Circ.Gates {
 		if g.Kind == circuit.KindBarrier {
@@ -103,9 +163,9 @@ func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 		return events[i].gateID < events[j].gateID
 	})
 
-	// Precompute per-gate effective error rates from the schedule: the
-	// ground-truth conditional rate when overlapping a crosstalk partner
-	// (max rule, Eq. 6), else the independent rate.
+	// Per-gate effective error rates from the schedule: the ground-truth
+	// conditional rate when overlapping a crosstalk partner (max rule,
+	// Eq. 6), else the independent rate.
 	effErr := ex.effectiveErrorRates(s, opts)
 
 	// Per-qubit idle/lifetime decoherence windows: damage is applied right
@@ -113,52 +173,32 @@ func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	// operation ended (decoherence starts at the first gate, Section 7.2).
 	prevEnd := map[int]float64{}
 
-	measured := measuredQubits(s.Circ)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	counts := map[string]int{}
-	state := quant.NewState(compact.NQubits)
-
-	for shot := 0; shot < opts.Shots; shot++ {
-		state.Reset()
-		for k := range prevEnd {
-			delete(prevEnd, k)
-		}
-		bits := make([]byte, len(measured))
-		for _, ev := range events {
-			g := s.Circ.Gates[ev.gateID]
-			// Decoherence on each operand since its last activity.
-			if !opts.DisableDecoherence {
-				for _, q := range g.Qubits {
-					last, seen := prevEnd[q]
-					if seen && ev.start > last {
-						ex.applyDecoherence(state, remap[q], q, ev.start-last, rng)
-					}
-				}
-			}
-			ex.applyGate(state, &g, remap, rng)
-			if g.Kind != circuit.KindMeasure && !opts.DisableGateErrors && g.Kind.IsTwoQubit() {
-				if rng.Float64() < effErr[g.ID] {
-					applyRandomTwoQubitPauli(state, remap[g.Qubits[0]], remap[g.Qubits[1]], rng)
-				}
-			}
-			end := ev.start + s.Duration[g.ID]
+	steps := make([]step, len(events))
+	for i, ev := range events {
+		g := &s.Circ.Gates[ev.gateID]
+		st := &steps[i]
+		if !opts.DisableDecoherence {
 			for _, q := range g.Qubits {
-				prevEnd[q] = end
-			}
-			if g.Kind == circuit.KindMeasure {
-				idx := indexOf(measured, g.Qubits[0])
-				out := state.MeasureQubit(remap[g.Qubits[0]], rng)
-				if !opts.DisableReadoutErrors {
-					if rng.Float64() < ex.Dev.Cal.Qubits[g.Qubits[0]].ReadoutError {
-						out ^= 1
-					}
+				last, seen := prevEnd[q]
+				if seen && ev.start > last {
+					qc := ex.Dev.Cal.Qubits[q]
+					st.idle = append(st.idle, quant.IdleChannels(remap[q], ev.start-last, qc.T1, qc.T2)...)
 				}
-				bits[idx] = byte('0' + out)
 			}
 		}
-		counts[string(bits)]++
+		st.gate = compileGate(g, remap)
+		st.gateError = g.Kind.IsTwoQubit() && !opts.DisableGateErrors
+		st.errRate = effErr[g.ID]
+		end := ev.start + s.Duration[g.ID]
+		for _, q := range g.Qubits {
+			prevEnd[q] = end
+		}
+		if g.Kind == circuit.KindMeasure {
+			st.slot = indexOf(measured, g.Qubits[0])
+			st.readout = ex.Dev.Cal.Qubits[g.Qubits[0]].ReadoutError
+		}
 	}
-	return &Result{Counts: counts, MeasuredQubits: measured, Shots: opts.Shots}, nil
+	return steps
 }
 
 // effectiveErrorRates computes, per two-qubit gate, the trajectory error
@@ -195,52 +235,70 @@ func (ex *Executor) effectiveErrorRates(s *core.Schedule, opts Options) map[int]
 	return eff
 }
 
-// applyDecoherence applies T1 amplitude damping and pure dephasing for an
-// idle interval dt (ns) on compact qubit cq (physical qubit pq).
-func (ex *Executor) applyDecoherence(state *quant.State, cq, pq int, dt float64, rng *rand.Rand) {
-	qc := ex.Dev.Cal.Qubits[pq]
-	gamma := 1 - math.Exp(-dt/qc.T1)
-	state.ApplyKraus(quant.AmplitudeDampingKraus(gamma), cq, rng)
-	// Pure dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1), when positive.
-	invTphi := 1/qc.T2 - 1/(2*qc.T1)
-	if invTphi > 0 {
-		lambda := 1 - math.Exp(-dt*invTphi)
-		state.ApplyKraus(quant.PhaseDampingKraus(lambda), cq, rng)
-	}
+// opKind is how a gate acts on the state.
+type opKind uint8
+
+const (
+	opNone    opKind = iota // barrier
+	opMeasure               // projective measurement of q0
+	op1Q                    // 2x2 matrix u on q0
+	opCNOT                  // control q0, target q1
+	opSWAP                  // exchange q0 and q1
+)
+
+// gateOp is a gate resolved against a compact qubit map.
+type gateOp struct {
+	kind   opKind
+	q0, q1 int
+	u      [4]complex128
 }
 
-func (ex *Executor) applyGate(state *quant.State, g *circuit.Gate, remap map[int]int, rng *rand.Rand) {
+// compileGate resolves g's action and matrix once, so no shot recomputes a
+// rotation matrix.
+func compileGate(g *circuit.Gate, remap map[int]int) gateOp {
 	switch g.Kind {
-	case circuit.KindMeasure, circuit.KindBarrier:
-		return
+	case circuit.KindBarrier:
+		return gateOp{kind: opNone}
+	case circuit.KindMeasure:
+		return gateOp{kind: opMeasure, q0: remap[g.Qubits[0]]}
 	case circuit.KindCNOT:
-		state.Apply2Q(&quant.MatCNOT, remap[g.Qubits[0]], remap[g.Qubits[1]])
+		return gateOp{kind: opCNOT, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
 	case circuit.KindSWAP:
-		state.Apply2Q(&quant.MatSWAP, remap[g.Qubits[0]], remap[g.Qubits[1]])
+		return gateOp{kind: opSWAP, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
+	}
+	op := gateOp{kind: op1Q, q0: remap[g.Qubits[0]]}
+	switch g.Kind {
 	case circuit.KindH:
-		state.Apply1Q(&quant.MatH, remap[g.Qubits[0]])
+		op.u = quant.MatH
 	case circuit.KindX:
-		state.Apply1Q(&quant.MatX, remap[g.Qubits[0]])
+		op.u = quant.MatX
 	case circuit.KindU1:
-		m := quant.MatU1(g.Params[0])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatU1(g.Params[0])
 	case circuit.KindU2:
-		m := quant.MatU2(g.Params[0], g.Params[1])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatU2(g.Params[0], g.Params[1])
 	case circuit.KindU3:
-		m := quant.MatU3(g.Params[0], g.Params[1], g.Params[2])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatU3(g.Params[0], g.Params[1], g.Params[2])
 	case circuit.KindRZ:
-		m := quant.MatRZ(g.Params[0])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatRZ(g.Params[0])
 	case circuit.KindRX:
-		m := quant.MatRX(g.Params[0])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatRX(g.Params[0])
 	case circuit.KindRY:
-		m := quant.MatRY(g.Params[0])
-		state.Apply1Q(&m, remap[g.Qubits[0]])
+		op.u = quant.MatRY(g.Params[0])
 	default:
 		panic(fmt.Sprintf("noise: unsupported gate kind %v", g.Kind))
+	}
+	return op
+}
+
+// apply applies a unitary gate op; barriers and measurements are no-ops.
+func (op *gateOp) apply(state *quant.State) {
+	switch op.kind {
+	case op1Q:
+		state.Apply1Q(&op.u, op.q0)
+	case opCNOT:
+		state.ApplyCNOT(op.q0, op.q1)
+	case opSWAP:
+		state.ApplySWAP(op.q0, op.q1)
 	}
 }
 
@@ -288,13 +346,9 @@ func indexOf(xs []int, v int) int {
 func IdealProbabilities(c *circuit.Circuit) (map[string]float64, []int) {
 	compact, remap := c.Compact()
 	state := quant.NewState(compact.NQubits)
-	ex := &Executor{}
 	for i := range c.Gates {
-		g := c.Gates[i]
-		if g.Kind == circuit.KindMeasure || g.Kind == circuit.KindBarrier {
-			continue
-		}
-		ex.applyGate(state, &g, remap, nil)
+		op := compileGate(&c.Gates[i], remap)
+		op.apply(state)
 	}
 	measured := measuredQubits(c)
 	probs := map[string]float64{}

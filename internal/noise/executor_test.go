@@ -7,6 +7,7 @@ import (
 	"xtalk/internal/circuit"
 	"xtalk/internal/core"
 	"xtalk/internal/device"
+	"xtalk/internal/workloads"
 )
 
 func noiselessOpts(shots int) Options {
@@ -231,5 +232,36 @@ func TestResultCountsSumToShots(t *testing.T) {
 	}
 	if total != 777 {
 		t.Fatalf("counts sum %d, want 777", total)
+	}
+}
+
+// TestRunAllocsGrowOnlyWithOutcomes: the shot loop runs over a prebuilt
+// step table with a reused bits buffer, so only a new outcome (its key and
+// the histogram's growth) allocates.
+func TestRunAllocsGrowOnlyWithOutcomes(t *testing.T) {
+	dev := device.MustNew(device.Poughkeepsie, 1)
+	c, err := workloads.SwapCircuit(dev.Topo, 0, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.ParSched{}.Schedule(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shots int) (allocs float64, outcomes int) {
+		opts := Options{Shots: shots, Seed: 3}
+		allocs = testing.AllocsPerRun(5, func() {
+			res, err := NewExecutor(dev).Run(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes = len(res.Counts)
+		})
+		return allocs, outcomes
+	}
+	a8, n8 := run(8)
+	a64, n64 := run(64)
+	if a64-a8 > float64(2*(n64-n8)) {
+		t.Fatalf("Executor.Run allocates %v at 64 shots (%d outcomes), %v at 8 (%d outcomes)", a64, n64, a8, n8)
 	}
 }

@@ -155,6 +155,24 @@ func PhaseDampingKraus(lambda float64) []*[4]complex128 {
 	return []*[4]complex128{&k0, &k1}
 }
 
+// Channel is a Kraus set on one qubit, applied as one trajectory step by
+// ApplyKraus.
+type Channel struct {
+	Q  int
+	Ks []*[4]complex128
+}
+
+// IdleChannels returns the trajectory channels of qubit q idling for dt ns:
+// T1 amplitude damping, then pure dephasing at rate 1/T_phi = 1/T2 -
+// 1/(2 T1) when that rate is positive.
+func IdleChannels(q int, dt, t1, t2 float64) []Channel {
+	chs := []Channel{{q, AmplitudeDampingKraus(1 - math.Exp(-dt/t1))}}
+	if invTphi := 1/t2 - 1/(2*t1); invTphi > 0 {
+		chs = append(chs, Channel{q, PhaseDampingKraus(1 - math.Exp(-dt*invTphi))})
+	}
+	return chs
+}
+
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -264,3 +264,40 @@ func TestKrausTracePreserving(t *testing.T) {
 		}
 	}
 }
+
+// TestPermutationGatesMatchApply2Q: ApplyCNOT and ApplySWAP give every
+// amplitude the value the dense Apply2Q product gives it, for every ordered
+// qubit pair of a random 4-qubit state.
+func TestPermutationGatesMatchApply2Q(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := NewState(4)
+	for i := range base.Amp {
+		base.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	base.Amp[5] = complex(0, rng.NormFloat64()) // zero parts take the same path
+	base.Normalize()
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			if a == b {
+				continue
+			}
+			for _, gate := range []struct {
+				name  string
+				dense *[16]complex128
+				perm  func(*State, int, int)
+			}{
+				{"cnot", &MatCNOT, (*State).ApplyCNOT},
+				{"swap", &MatSWAP, (*State).ApplySWAP},
+			} {
+				want, got := base.Clone(), base.Clone()
+				want.Apply2Q(gate.dense, a, b)
+				gate.perm(got, a, b)
+				for i := range want.Amp {
+					if got.Amp[i] != want.Amp[i] {
+						t.Fatalf("%s(%d,%d) amplitude %d: %v, dense %v", gate.name, a, b, i, got.Amp[i], want.Amp[i])
+					}
+				}
+			}
+		}
+	}
+}

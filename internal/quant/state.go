@@ -64,20 +64,24 @@ func (s *State) Normalize() {
 	}
 }
 
+// The kernels below visit only the basis indices they act on, in
+// increasing order: a 1-qubit kernel walks blocks of 2*bit indices and the
+// bit-clear half of each; a 2-qubit kernel nests that once more. Sums
+// therefore run in index order, as a scan of every index would.
+
 // Apply1Q applies the 2x2 unitary u to qubit q.
 func (s *State) Apply1Q(u *[4]complex128, q int) {
 	if q < 0 || q >= s.N {
 		panic(fmt.Sprintf("quant: qubit %d out of range [0,%d)", q, s.N))
 	}
 	bit := 1 << uint(q)
-	for i := 0; i < len(s.Amp); i++ {
-		if i&bit != 0 {
-			continue
+	for i0 := 0; i0 < len(s.Amp); i0 += 2 * bit {
+		for i := i0; i < i0+bit; i++ {
+			j := i | bit
+			a0, a1 := s.Amp[i], s.Amp[j]
+			s.Amp[i] = u[0]*a0 + u[1]*a1
+			s.Amp[j] = u[2]*a0 + u[3]*a1
 		}
-		j := i | bit
-		a0, a1 := s.Amp[i], s.Amp[j]
-		s.Amp[i] = u[0]*a0 + u[1]*a1
-		s.Amp[j] = u[2]*a0 + u[3]*a1
 	}
 }
 
@@ -85,28 +89,70 @@ func (s *State) Apply1Q(u *[4]complex128, q int) {
 // least-significant bit of the 2-qubit subspace: basis order is
 // |q1 q0> in {00, 01, 10, 11}.
 func (s *State) Apply2Q(u *[16]complex128, q1, q0 int) {
-	if q0 == q1 {
-		panic("quant: Apply2Q requires distinct qubits")
-	}
-	if q0 < 0 || q0 >= s.N || q1 < 0 || q1 >= s.N {
-		panic(fmt.Sprintf("quant: qubits (%d,%d) out of range [0,%d)", q1, q0, s.N))
-	}
+	s.check2Q(q1, q0)
 	b0 := 1 << uint(q0)
 	b1 := 1 << uint(q1)
 	mask := b0 | b1
-	for i := 0; i < len(s.Amp); i++ {
-		if i&mask != 0 {
-			continue
+	lo, hi := min(b0, b1), max(b0, b1)
+	for i0 := 0; i0 < len(s.Amp); i0 += 2 * hi {
+		for i1 := i0; i1 < i0+hi; i1 += 2 * lo {
+			for i := i1; i < i1+lo; i++ {
+				i00 := i
+				i01 := i | b0
+				i10 := i | b1
+				i11 := i | mask
+				a00, a01, a10, a11 := s.Amp[i00], s.Amp[i01], s.Amp[i10], s.Amp[i11]
+				s.Amp[i00] = u[0]*a00 + u[1]*a01 + u[2]*a10 + u[3]*a11
+				s.Amp[i01] = u[4]*a00 + u[5]*a01 + u[6]*a10 + u[7]*a11
+				s.Amp[i10] = u[8]*a00 + u[9]*a01 + u[10]*a10 + u[11]*a11
+				s.Amp[i11] = u[12]*a00 + u[13]*a01 + u[14]*a10 + u[15]*a11
+			}
 		}
-		i00 := i
-		i01 := i | b0
-		i10 := i | b1
-		i11 := i | mask
-		a00, a01, a10, a11 := s.Amp[i00], s.Amp[i01], s.Amp[i10], s.Amp[i11]
-		s.Amp[i00] = u[0]*a00 + u[1]*a01 + u[2]*a10 + u[3]*a11
-		s.Amp[i01] = u[4]*a00 + u[5]*a01 + u[6]*a10 + u[7]*a11
-		s.Amp[i10] = u[8]*a00 + u[9]*a01 + u[10]*a10 + u[11]*a11
-		s.Amp[i11] = u[12]*a00 + u[13]*a01 + u[14]*a10 + u[15]*a11
+	}
+}
+
+// ApplyCNOT applies a CNOT with the given control and target qubits. It is
+// Apply2Q(&MatCNOT, control, target) as a permutation of amplitudes: every
+// amplitude comes out with the value the dense product gives it, up to the
+// sign of a zero.
+func (s *State) ApplyCNOT(control, target int) {
+	s.check2Q(control, target)
+	c := 1 << uint(control)
+	t := 1 << uint(target)
+	lo, hi := min(c, t), max(c, t)
+	for i0 := 0; i0 < len(s.Amp); i0 += 2 * hi {
+		for i1 := i0; i1 < i0+hi; i1 += 2 * lo {
+			for i := i1; i < i1+lo; i++ {
+				j := i | c
+				s.Amp[j], s.Amp[j|t] = s.Amp[j|t], s.Amp[j]
+			}
+		}
+	}
+}
+
+// ApplySWAP exchanges qubits a and b. It is Apply2Q(&MatSWAP, a, b) as a
+// permutation of amplitudes.
+func (s *State) ApplySWAP(a, b int) {
+	s.check2Q(a, b)
+	ba := 1 << uint(a)
+	bb := 1 << uint(b)
+	lo, hi := min(ba, bb), max(ba, bb)
+	for i0 := 0; i0 < len(s.Amp); i0 += 2 * hi {
+		for i1 := i0; i1 < i0+hi; i1 += 2 * lo {
+			for i := i1; i < i1+lo; i++ {
+				s.Amp[i|ba], s.Amp[i|bb] = s.Amp[i|bb], s.Amp[i|ba]
+			}
+		}
+	}
+}
+
+// check2Q panics unless q1 and q0 are distinct qubits of the state.
+func (s *State) check2Q(q1, q0 int) {
+	if q0 == q1 {
+		panic("quant: two-qubit gate requires distinct qubits")
+	}
+	if q0 < 0 || q0 >= s.N || q1 < 0 || q1 >= s.N {
+		panic(fmt.Sprintf("quant: qubits (%d,%d) out of range [0,%d)", q1, q0, s.N))
 	}
 }
 
@@ -129,8 +175,8 @@ func (s *State) Probabilities() []float64 {
 func (s *State) ProbOne(q int) float64 {
 	bit := 1 << uint(q)
 	var p float64
-	for i, a := range s.Amp {
-		if i&bit != 0 {
+	for i0 := bit; i0 < len(s.Amp); i0 += 2 * bit {
+		for _, a := range s.Amp[i0 : i0+bit] {
 			p += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
@@ -145,12 +191,14 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 	if rng.Float64() < p1 {
 		outcome = 1
 	}
+	// Zero the half of every block that disagrees with the outcome.
 	bit := 1 << uint(q)
-	for i := range s.Amp {
-		hasBit := i&bit != 0
-		if (outcome == 1) != hasBit {
-			s.Amp[i] = 0
-		}
+	off := bit
+	if outcome == 1 {
+		off = 0
+	}
+	for i0 := off; i0 < len(s.Amp); i0 += 2 * bit {
+		clear(s.Amp[i0 : i0+bit])
 	}
 	s.Normalize()
 	return outcome
@@ -185,39 +233,42 @@ func (s *State) Fidelity(other *State) float64 {
 // ApplyKraus applies one operator from the Kraus set {ks} to the state,
 // selected according to the Born probabilities p_k = ||K_k |psi>||^2, and
 // renormalizes (a single quantum-trajectory step). All operators must be
-// 2x2 and act on qubit q. The Kraus set must be trace preserving.
+// 2x2 and act on qubit q. The Kraus set must be trace preserving, so the
+// last branch takes whatever probability the others leave and its own is
+// never computed.
 func (s *State) ApplyKraus(ks []*[4]complex128, q int, rng *rand.Rand) {
 	if len(ks) == 0 {
 		return
 	}
 	r := rng.Float64()
 	acc := 0.0
-	for idx, k := range ks {
+	last := len(ks) - 1
+	for _, k := range ks[:last] {
 		// Probability of branch = ||K|psi>||^2 computed without copying the
 		// full state: sum over amplitude pairs.
-		p := krausBranchProb(s, k, q)
-		acc += p
-		if r < acc || idx == len(ks)-1 {
+		acc += krausBranchProb(s, k, q)
+		if r < acc {
 			s.Apply1Q(k, q)
 			s.Normalize()
 			return
 		}
 	}
+	s.Apply1Q(ks[last], q)
+	s.Normalize()
 }
 
 func krausBranchProb(s *State, k *[4]complex128, q int) float64 {
 	bit := 1 << uint(q)
 	var p float64
-	for i := 0; i < len(s.Amp); i++ {
-		if i&bit != 0 {
-			continue
+	for i0 := 0; i0 < len(s.Amp); i0 += 2 * bit {
+		for i := i0; i < i0+bit; i++ {
+			j := i | bit
+			a0, a1 := s.Amp[i], s.Amp[j]
+			n0 := k[0]*a0 + k[1]*a1
+			n1 := k[2]*a0 + k[3]*a1
+			p += real(n0)*real(n0) + imag(n0)*imag(n0)
+			p += real(n1)*real(n1) + imag(n1)*imag(n1)
 		}
-		j := i | bit
-		a0, a1 := s.Amp[i], s.Amp[j]
-		n0 := k[0]*a0 + k[1]*a1
-		n1 := k[2]*a0 + k[3]*a1
-		p += real(n0)*real(n0) + imag(n0)*imag(n0)
-		p += real(n1)*real(n1) + imag(n1)*imag(n1)
 	}
 	return p
 }

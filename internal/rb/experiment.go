@@ -89,23 +89,26 @@ type PairNoise struct {
 func Run(noise PairNoise, cfg Config) (Outcome, error) {
 	g := TwoQubitCliffordGroup()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	table := newNoiseTable(g, noise)
+	state := quant.NewState(2)
+	var seq []int
 	var curve []Point
 	for _, m := range cfg.Lengths {
 		if m < 1 {
 			return Outcome{}, fmt.Errorf("rb: invalid sequence length %d", m)
 		}
 		survived, total := 0, 0
-		for seq := 0; seq < cfg.Sequences; seq++ {
-			seqIdx := make([]int, m)
+		for s := 0; s < cfg.Sequences; s++ {
+			seq = seq[:0]
 			comp := 0 // identity
 			for i := 0; i < m; i++ {
-				seqIdx[i] = g.Sample(rng)
-				comp = g.Compose(comp, seqIdx[i])
+				idx := g.Sample(rng)
+				seq = append(seq, idx)
+				comp = g.Compose(comp, idx)
 			}
-			invIdx := g.Elems[comp].Inv
-			full := append(append([]int{}, seqIdx...), invIdx)
+			seq = append(seq, g.Elems[comp].Inv)
 			for shot := 0; shot < cfg.Shots; shot++ {
-				if runTrajectory(g, full, noise, rng) {
+				if table.trajectory(g, seq, state, noise, rng) {
 					survived++
 				}
 				total++
@@ -146,24 +149,55 @@ func Run(noise PairNoise, cfg Config) (Outcome, error) {
 	}, nil
 }
 
-// runTrajectory executes one shot of a Clifford sequence on |00> and reports
-// whether both qubits measured back to 0.
-func runTrajectory(g *Group, seq []int, noise PairNoise, rng *rand.Rand) bool {
-	state := quant.NewState(2)
-	for _, idx := range seq {
-		el := g.Elems[idx]
-		applyMat4(state, el.Mat)
-		// CNOT error exposure for this Clifford.
-		if el.CNOTs > 0 && noise.CNOTErrorRate > 0 {
-			p := 1 - math.Pow(1-noise.CNOTErrorRate, float64(el.CNOTs))
-			if rng.Float64() < p {
-				applyRandomPauliPair(state, rng)
-			}
+// cliffordNoise is what one Clifford does to a trajectory besides its
+// unitary. It depends only on the Clifford's CNOT count, so Run builds it
+// once per count.
+type cliffordNoise struct {
+	// drawError is set when the Clifford is exposed to CNOT error; errProb
+	// is then the probability of a random two-qubit Pauli.
+	drawError bool
+	errProb   float64
+	// idle lists the decoherence channels across the Clifford's duration,
+	// qubit 0's before qubit 1's.
+	idle []quant.Channel
+}
+
+// noiseTable is indexed by CNOT count.
+type noiseTable []cliffordNoise
+
+func newNoiseTable(g *Group, noise PairNoise) noiseTable {
+	table := make(noiseTable, g.maxCNOTs+1)
+	for cnots := range table {
+		cn := &table[cnots]
+		if cnots > 0 && noise.CNOTErrorRate > 0 {
+			cn.drawError = true
+			cn.errProb = 1 - math.Pow(1-noise.CNOTErrorRate, float64(cnots))
 		}
-		// Decoherence across the Clifford's duration.
-		dur := float64(el.CNOTs)*noise.CNOTDuration + 2*device.Default1QDuration
-		applyIdle(state, 0, noise.Qubit0, dur, rng)
-		applyIdle(state, 1, noise.Qubit1, dur, rng)
+		dur := float64(cnots)*noise.CNOTDuration + 2*device.Default1QDuration
+		for q, qc := range []device.QubitCal{noise.Qubit0, noise.Qubit1} {
+			if dur <= 0 || qc.T1 <= 0 {
+				continue
+			}
+			cn.idle = append(cn.idle, quant.IdleChannels(q, dur, qc.T1, qc.T2)...)
+		}
+	}
+	return table
+}
+
+// trajectory executes one shot of a Clifford sequence on |00> and reports
+// whether both qubits measured back to 0.
+func (t noiseTable) trajectory(g *Group, seq []int, state *quant.State, noise PairNoise, rng *rand.Rand) bool {
+	state.Reset()
+	for _, idx := range seq {
+		el := &g.Elems[idx]
+		state.Apply2Q(&el.U, 1, 0)
+		cn := &t[el.CNOTs]
+		if cn.drawError && rng.Float64() < cn.errProb {
+			applyRandomPauliPair(state, rng)
+		}
+		for _, ch := range cn.idle {
+			state.ApplyKraus(ch.Ks, ch.Q, rng)
+		}
 	}
 	b0 := state.MeasureQubit(0, rng)
 	b1 := state.MeasureQubit(1, rng)
@@ -174,12 +208,6 @@ func runTrajectory(g *Group, seq []int, noise PairNoise, rng *rand.Rand) bool {
 		b1 ^= 1
 	}
 	return b0 == 0 && b1 == 0
-}
-
-func applyMat4(state *quant.State, m *linalg.CMatrix) {
-	var u [16]complex128
-	copy(u[:], m.Data)
-	state.Apply2Q(&u, 1, 0)
 }
 
 func applyRandomPauliPair(state *quant.State, rng *rand.Rand) {
@@ -196,19 +224,6 @@ func applyRandomPauliPair(state *quant.State, rng *rand.Rand) {
 			state.Apply1Q(p1.Mat(), 1)
 		}
 		return
-	}
-}
-
-func applyIdle(state *quant.State, q int, qc device.QubitCal, dt float64, rng *rand.Rand) {
-	if dt <= 0 || qc.T1 <= 0 {
-		return
-	}
-	gamma := 1 - math.Exp(-dt/qc.T1)
-	state.ApplyKraus(quant.AmplitudeDampingKraus(gamma), q, rng)
-	invTphi := 1/qc.T2 - 1/(2*qc.T1)
-	if invTphi > 0 {
-		lambda := 1 - math.Exp(-dt*invTphi)
-		state.ApplyKraus(quant.PhaseDampingKraus(lambda), q, rng)
 	}
 }
 

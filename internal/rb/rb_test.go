@@ -15,10 +15,17 @@ func TestTwoQubitCliffordGroupSize(t *testing.T) {
 	}
 }
 
+// cmat returns an element's unitary as a CMatrix.
+func cmat(u [16]complex128) *linalg.CMatrix {
+	m := linalg.NewCMatrix(4, 4)
+	copy(m.Data, u[:])
+	return m
+}
+
 func TestCliffordsAreUnitary(t *testing.T) {
 	g := TwoQubitCliffordGroup()
 	for i := 0; i < g.Size(); i += 97 {
-		if !g.Elems[i].Mat.IsUnitary(1e-9) {
+		if !cmat(g.Elems[i].U).IsUnitary(1e-9) {
 			t.Fatalf("element %d not unitary", i)
 		}
 	}
@@ -28,9 +35,45 @@ func TestCliffordInverses(t *testing.T) {
 	g := TwoQubitCliffordGroup()
 	id := linalg.CIdentity(4)
 	for i := 0; i < g.Size(); i += 131 {
-		prod := g.Elems[g.Elems[i].Inv].Mat.Mul(g.Elems[i].Mat)
+		prod := cmat(g.Elems[g.Elems[i].Inv].U).Mul(cmat(g.Elems[i].U))
 		if !prod.EqualsUpToPhase(id, 1e-8) {
 			t.Fatalf("element %d: inv * elem != identity", i)
+		}
+	}
+}
+
+func TestPhaseKeyIgnoresGlobalPhase(t *testing.T) {
+	g := TwoQubitCliffordGroup()
+	ph := complex(math.Cos(1.2), math.Sin(1.2))
+	for i := 0; i < g.Size(); i += 113 {
+		phased := g.Elems[i].U
+		for k := range phased {
+			phased[k] *= ph
+		}
+		if keyOf(&phased) != keyOf(&g.Elems[i].U) {
+			t.Fatalf("element %d: phase keys must agree up to global phase", i)
+		}
+		if j := g.byKey[keyOf(&phased)]; j != i {
+			t.Fatalf("element %d: phased copy keys to element %d", i, j)
+		}
+	}
+	// Distinct elements have distinct keys: the map holds every element.
+	if len(g.byKey) != g.Size() {
+		t.Fatalf("%d keys for %d elements", len(g.byKey), g.Size())
+	}
+}
+
+// TestComposeMatchesCMatrixMul pins mul4 to CMatrix.Mul bit for bit.
+func TestComposeMatchesCMatrixMul(t *testing.T) {
+	g := TwoQubitCliffordGroup()
+	for _, p := range [][2]int{{3, 1000}, {777, 777}, {11519, 1}, {42, 9001}} {
+		a, b := g.Elems[p[0]].U, g.Elems[p[1]].U
+		got := mul4(&b, &a)
+		want := cmat(b).Mul(cmat(a))
+		for k := range got {
+			if got[k] != want.Data[k] {
+				t.Fatalf("%v entry %d: mul4 %v, CMatrix.Mul %v", p, k, got[k], want.Data[k])
+			}
 		}
 	}
 }
@@ -142,5 +185,27 @@ func TestConfigTotalExecutions(t *testing.T) {
 	cfg := PaperConfig()
 	if got := cfg.TotalExecutions(); got != 7*100*1024 {
 		t.Fatalf("TotalExecutions = %d, want %d", got, 7*100*1024)
+	}
+}
+
+// TestRunAllocsIndependentOfShots: the trajectory loop reuses one state and
+// the per-run noise table, so a run's allocations do not grow with Shots.
+func TestRunAllocsIndependentOfShots(t *testing.T) {
+	noise := PairNoise{
+		CNOTErrorRate: 0.03,
+		CNOTDuration:  400,
+		Qubit0:        device.QubitCal{T1: 60e3, T2: 50e3, ReadoutError: 0.02},
+		Qubit1:        device.QubitCal{T1: 80e3, T2: 90e3, ReadoutError: 0.03},
+	}
+	allocs := func(shots int) float64 {
+		cfg := Config{Lengths: []int{1, 2, 4, 8}, Sequences: 3, Shots: shots, Seed: 5}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(noise, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a8, a64 := allocs(8), allocs(64); a64 > a8 {
+		t.Fatalf("rb.Run allocates %v at 64 shots, %v at 8", a64, a8)
 	}
 }
