@@ -432,7 +432,7 @@ func BenchmarkRBExperiment(b *testing.B) {
 }
 
 // BenchmarkNoiseExecutor measures Monte-Carlo execution throughput for a
-// SWAP circuit.
+// SWAP circuit, at 64 shots and at paper_loop's 2048.
 func BenchmarkNoiseExecutor(b *testing.B) {
 	dev := device.MustNew(device.Poughkeepsie, 1)
 	c, err := workloads.SwapCircuit(dev.Topo, 0, 13)
@@ -443,12 +443,15 @@ func BenchmarkNoiseExecutor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(dev, s, 64, int64(i)); err != nil {
-			b.Fatal(err)
-		}
+	for _, shots := range []int{64, 2048} {
+		b.Run(fmt.Sprintf("shots=%d", shots), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Execute(dev, s, shots, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -75,7 +75,9 @@ func NewExecutor(dev *device.Device) *Executor {
 // Run executes the schedule for opts.Shots trajectories and returns the
 // outcome histogram over the measured qubits. Everything that depends only
 // on the schedule — idle windows, gate matrices, error rates, measurement
-// slots — is built once into a step table; the shot loop only draws.
+// slots — is built once into a step table. The shots run as a trajectory
+// tree (trajectory.go): each distinct noise history is simulated once, with
+// the histogram every shot-by-shot run of the same RNG stream gives.
 func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	if opts.Shots <= 0 {
 		opts.Shots = 1024
@@ -88,66 +90,36 @@ func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	measured := measuredQubits(s.Circ)
 	steps := ex.buildSteps(s, remap, measured, opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	outcome := map[string]int{} // outcome -> its index in tally
-	var tally []int
-	state := quant.NewState(compact.NQubits)
-	// Every shot writes the same measurement slots, so the buffer needs no
-	// reset between shots.
-	bits := make([]byte, len(measured))
-	for shot := 0; shot < opts.Shots; shot++ {
-		state.Reset()
-		for i := range steps {
-			st := &steps[i]
-			for _, ch := range st.idle {
-				state.ApplyKraus(ch.Ks, ch.Q, rng)
-			}
-			if st.gate.kind == opMeasure {
-				out := state.MeasureQubit(st.gate.q0, rng)
-				if !opts.DisableReadoutErrors && rng.Float64() < st.readout {
-					out ^= 1
-				}
-				bits[st.slot] = byte('0' + out)
-				continue
-			}
-			st.gate.apply(state)
-			if st.gateError && rng.Float64() < st.errRate {
-				applyRandomTwoQubitPauli(state, st.gate.q0, st.gate.q1, rng)
-			}
-		}
-		// Look the outcome up before inserting it: only a new outcome's
-		// key is allocated.
-		k, ok := outcome[string(bits)]
-		if !ok {
-			k = len(tally)
-			outcome[string(bits)] = k
-			tally = append(tally, 0)
-		}
-		tally[k]++
+	t := newTree(steps, compact.NQubits, len(measured), min(opts.Shots, chunkShots))
+	for done := 0; done < opts.Shots; {
+		n := min(opts.Shots-done, chunkShots)
+		t.run(n, rng)
+		done += n
 	}
-	counts := make(map[string]int, len(outcome))
-	for key, k := range outcome {
-		counts[key] = tally[k]
-	}
-	return &Result{Counts: counts, MeasuredQubits: measured, Shots: opts.Shots}, nil
+	return &Result{Counts: t.counts(), MeasuredQubits: measured, Shots: opts.Shots}, nil
 }
 
-// step is one schedule event as the shot loop runs it.
+// step is one operation of a shot, in schedule order: a decoherence
+// channel, a gate, a gate's stochastic Pauli error or a measurement.
 type step struct {
-	// idle lists the decoherence channels on the gate's operands since
-	// each one's previous operation ended, in operand order.
-	idle []quant.Channel
-	gate gateOp
-	// gateError is set for a two-qubit gate under gate errors; errRate is
-	// its Pauli error probability.
-	gateError bool
-	errRate   float64
-	// slot and readout are a measurement's bit index and flip probability.
+	kind   opKind
+	q0, q1 int
+	// u is an op1Q gate's matrix.
+	u [4]complex128
+	// ks is an opKraus channel's Kraus set on q0.
+	ks []*[4]complex128
+	// p is an opPauli error's probability, or an opMeasure readout flip's.
+	p float64
+	// readout is set on an opMeasure under readout errors; slot is its bit
+	// index.
+	readout bool
 	slot    int
-	readout float64
 }
 
 // buildSteps orders the schedule's gates by start time (stable on gate ID)
-// and resolves each into a step.
+// and resolves each into its steps: the decoherence channels on its
+// operands since each one's previous operation ended (in operand order),
+// the gate itself, then a two-qubit gate's Pauli error.
 func (ex *Executor) buildSteps(s *core.Schedule, remap map[int]int, measured []int, opts Options) []step {
 	var events []event
 	for _, g := range s.Circ.Gates {
@@ -173,29 +145,33 @@ func (ex *Executor) buildSteps(s *core.Schedule, remap map[int]int, measured []i
 	// operation ended (decoherence starts at the first gate, Section 7.2).
 	prevEnd := map[int]float64{}
 
-	steps := make([]step, len(events))
-	for i, ev := range events {
+	steps := make([]step, 0, 2*len(events))
+	for _, ev := range events {
 		g := &s.Circ.Gates[ev.gateID]
-		st := &steps[i]
 		if !opts.DisableDecoherence {
 			for _, q := range g.Qubits {
 				last, seen := prevEnd[q]
 				if seen && ev.start > last {
 					qc := ex.Dev.Cal.Qubits[q]
-					st.idle = append(st.idle, quant.IdleChannels(remap[q], ev.start-last, qc.T1, qc.T2)...)
+					for _, ch := range quant.IdleChannels(remap[q], ev.start-last, qc.T1, qc.T2) {
+						steps = append(steps, step{kind: opKraus, q0: ch.Q, ks: ch.Ks})
+					}
 				}
 			}
 		}
-		st.gate = compileGate(g, remap)
-		st.gateError = g.Kind.IsTwoQubit() && !opts.DisableGateErrors
-		st.errRate = effErr[g.ID]
+		st := compileGate(g, remap)
+		if g.Kind == circuit.KindMeasure {
+			st.slot = indexOf(measured, g.Qubits[0])
+			st.p = ex.Dev.Cal.Qubits[g.Qubits[0]].ReadoutError
+			st.readout = !opts.DisableReadoutErrors
+		}
+		steps = append(steps, st)
+		if g.Kind.IsTwoQubit() && !opts.DisableGateErrors {
+			steps = append(steps, step{kind: opPauli, q0: st.q0, q1: st.q1, p: effErr[g.ID]})
+		}
 		end := ev.start + s.Duration[g.ID]
 		for _, q := range g.Qubits {
 			prevEnd[q] = end
-		}
-		if g.Kind == circuit.KindMeasure {
-			st.slot = indexOf(measured, g.Qubits[0])
-			st.readout = ex.Dev.Cal.Qubits[g.Qubits[0]].ReadoutError
 		}
 	}
 	return steps
@@ -235,7 +211,7 @@ func (ex *Executor) effectiveErrorRates(s *core.Schedule, opts Options) map[int]
 	return eff
 }
 
-// opKind is how a gate acts on the state.
+// opKind is how a step acts on the state.
 type opKind uint8
 
 const (
@@ -244,29 +220,24 @@ const (
 	op1Q                    // 2x2 matrix u on q0
 	opCNOT                  // control q0, target q1
 	opSWAP                  // exchange q0 and q1
+	opKraus                 // one branch of the Kraus set ks on q0
+	opPauli                 // with probability p, a random Pauli pair on q0, q1
 )
-
-// gateOp is a gate resolved against a compact qubit map.
-type gateOp struct {
-	kind   opKind
-	q0, q1 int
-	u      [4]complex128
-}
 
 // compileGate resolves g's action and matrix once, so no shot recomputes a
 // rotation matrix.
-func compileGate(g *circuit.Gate, remap map[int]int) gateOp {
+func compileGate(g *circuit.Gate, remap map[int]int) step {
 	switch g.Kind {
 	case circuit.KindBarrier:
-		return gateOp{kind: opNone}
+		return step{kind: opNone}
 	case circuit.KindMeasure:
-		return gateOp{kind: opMeasure, q0: remap[g.Qubits[0]]}
+		return step{kind: opMeasure, q0: remap[g.Qubits[0]]}
 	case circuit.KindCNOT:
-		return gateOp{kind: opCNOT, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
+		return step{kind: opCNOT, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
 	case circuit.KindSWAP:
-		return gateOp{kind: opSWAP, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
+		return step{kind: opSWAP, q0: remap[g.Qubits[0]], q1: remap[g.Qubits[1]]}
 	}
-	op := gateOp{kind: op1Q, q0: remap[g.Qubits[0]]}
+	op := step{kind: op1Q, q0: remap[g.Qubits[0]]}
 	switch g.Kind {
 	case circuit.KindH:
 		op.u = quant.MatH
@@ -290,8 +261,8 @@ func compileGate(g *circuit.Gate, remap map[int]int) gateOp {
 	return op
 }
 
-// apply applies a unitary gate op; barriers and measurements are no-ops.
-func (op *gateOp) apply(state *quant.State) {
+// apply applies a unitary gate step; every other step is a no-op here.
+func (op *step) apply(state *quant.State) {
 	switch op.kind {
 	case op1Q:
 		state.Apply1Q(&op.u, op.q0)
@@ -299,25 +270,6 @@ func (op *gateOp) apply(state *quant.State) {
 		state.ApplyCNOT(op.q0, op.q1)
 	case opSWAP:
 		state.ApplySWAP(op.q0, op.q1)
-	}
-}
-
-// applyRandomTwoQubitPauli applies a uniformly random non-identity two-qubit
-// Pauli (the standard depolarizing-style gate error model).
-func applyRandomTwoQubitPauli(state *quant.State, q0, q1 int, rng *rand.Rand) {
-	for {
-		p0 := quant.Pauli(rng.Intn(4))
-		p1 := quant.Pauli(rng.Intn(4))
-		if p0 == quant.PauliI && p1 == quant.PauliI {
-			continue
-		}
-		if p0 != quant.PauliI {
-			state.Apply1Q(p0.Mat(), q0)
-		}
-		if p1 != quant.PauliI {
-			state.Apply1Q(p1.Mat(), q1)
-		}
-		return
 	}
 }
 

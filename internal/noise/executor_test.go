@@ -1,12 +1,18 @@
 package noise
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 
+	"xtalk/internal/characterize"
 	"xtalk/internal/circuit"
 	"xtalk/internal/core"
 	"xtalk/internal/device"
+	"xtalk/internal/quant"
+	"xtalk/internal/rb"
 	"xtalk/internal/workloads"
 )
 
@@ -263,5 +269,154 @@ func TestRunAllocsGrowOnlyWithOutcomes(t *testing.T) {
 	a64, n64 := run(64)
 	if a64-a8 > float64(2*(n64-n8)) {
 		t.Fatalf("Executor.Run allocates %v at 64 shots (%d outcomes), %v at 8 (%d outcomes)", a64, n64, a8, n8)
+	}
+}
+
+// referenceRun is the shot-by-shot executor: every shot runs the whole
+// step table on one state, drawing as it goes. Run must return exactly its
+// histogram.
+func referenceRun(ex *Executor, s *core.Schedule, opts Options) (*Result, error) {
+	if opts.Shots <= 0 {
+		opts.Shots = 1024
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("noise: invalid schedule: %w", err)
+	}
+	compact, remap := s.Circ.Compact()
+	measured := measuredQubits(s.Circ)
+	steps := ex.buildSteps(s, remap, measured, opts)
+	rng := rand.New(rand.NewSource(opts.Seed))
+	counts := map[string]int{}
+	state := quant.NewState(compact.NQubits)
+	// Every shot writes the same measurement slots, so the buffer needs no
+	// reset between shots.
+	bits := make([]byte, len(measured))
+	for shot := 0; shot < opts.Shots; shot++ {
+		state.Reset()
+		for i := range steps {
+			switch st := &steps[i]; st.kind {
+			case opKraus:
+				state.ApplyKraus(st.ks, st.q0, rng)
+			case opMeasure:
+				out := state.MeasureQubit(st.q0, rng)
+				if st.readout && rng.Float64() < st.p {
+					out ^= 1
+				}
+				bits[st.slot] = byte('0' + out)
+			case opPauli:
+				if rng.Float64() < st.p {
+					p0, p1 := quant.RandomPauliPair(rng)
+					state.ApplyPauliPair(p0, p1, st.q0, st.q1)
+				}
+			default:
+				st.apply(state)
+			}
+		}
+		counts[string(bits)]++
+	}
+	return &Result{Counts: counts, MeasuredQubits: measured, Shots: opts.Shots}, nil
+}
+
+// measuredNoise is what the scheduler sees in the paper's daily loop: a
+// high-crosstalk-only SRB refresh of the device's high-crosstalk pairs.
+func measuredNoise(t *testing.T, dev *device.Device) *core.NoiseData {
+	t.Helper()
+	cfg := rb.Config{Lengths: []int{1, 2, 4, 8, 16}, Sequences: 6, Shots: 64, Seed: 1000}
+	rep, err := characterize.Run(dev, characterize.HighCrosstalkOnly, dev.Cal.HighCrosstalkPairs(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.NoiseData(dev, 3)
+}
+
+// TestRunMatchesReference: the trajectory tree returns byte-identical
+// counts to the shot-by-shot oracle on the paper SWAP circuits under
+// ParSched and XtalkSched (on measured noise), QAOA and Hidden Shift
+// circuits, every Disable option alone, and shot counts on both sides of
+// the chunk size. A circuit cannot measure a qubit twice or act on it after
+// its measurement (core.ValidateMeasures), so no case does.
+func TestRunMatchesReference(t *testing.T) {
+	type run struct {
+		name string
+		dev  *device.Device
+		s    *core.Schedule
+		opts Options
+	}
+	var runs []run
+	schedule := func(sch core.Scheduler, c *circuit.Circuit, dev *device.Device) *core.Schedule {
+		t.Helper()
+		s, err := sch.Schedule(c, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i, name := range []device.SystemName{device.Poughkeepsie, device.Johannesburg, device.Boeblingen} {
+		dev, err := device.NewForDay(name, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xtalk := core.NewXtalkSched(measuredNoise(t, dev), core.DefaultXtalkConfig())
+		for k, p := range workloads.SwapBenchmarkPairs[name] {
+			c, err := workloads.SwapCircuit(dev.Topo, p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := int64(10*i + k)
+			for _, sch := range []core.Scheduler{core.ParSched{}, xtalk} {
+				runs = append(runs, run{fmt.Sprintf("%s/swap%d-%d/%T", name, p[0], p[1], sch),
+					dev, schedule(sch, c, dev), Options{Shots: 2048, Seed: seed}})
+			}
+		}
+		chain, err := workloads.CrosstalkProneChain(dev, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qaoa, err := workloads.QAOACircuit(dev.Topo, chain, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, _, err := workloads.HiddenShiftCircuit(dev.Topo, chain, 0b1011, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			name string
+			c    *circuit.Circuit
+		}{{"qaoa", qaoa}, {"hs", hs}} {
+			c := w.c
+			for _, sch := range []core.Scheduler{core.ParSched{}, xtalk} {
+				s := schedule(sch, c, dev)
+				for _, shots := range []int{1, 7, 2048, chunkShots + 1} {
+					runs = append(runs, run{fmt.Sprintf("%s/%s/%T/shots%d", name, w.name, sch, shots),
+						dev, s, Options{Shots: shots, Seed: int64(shots)}})
+				}
+				for d, set := range []func(*Options){
+					func(o *Options) { o.DisableGateErrors = true },
+					func(o *Options) { o.DisableDecoherence = true },
+					func(o *Options) { o.DisableReadoutErrors = true },
+					func(o *Options) { o.DisableCrosstalk = true },
+				} {
+					opts := Options{Shots: 512, Seed: 3}
+					set(&opts)
+					runs = append(runs, run{fmt.Sprintf("%s/%s/%T/disable%d", name, w.name, sch, d), dev, s, opts})
+				}
+			}
+		}
+	}
+
+	for _, r := range runs {
+		ex := NewExecutor(r.dev)
+		got, err := ex.Run(r.s, r.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		want, err := referenceRun(ex, r.s, r.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !maps.Equal(got.Counts, want.Counts) {
+			t.Fatalf("%s: counts %v, reference %v", r.name, got.Counts, want.Counts)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 )
 
 // Standard single-qubit gate matrices, row-major [u00 u01 u10 u11].
@@ -120,6 +121,30 @@ func (p Pauli) Mat() *[4]complex128 {
 		return &MatZ
 	default:
 		return &MatI
+	}
+}
+
+// RandomPauliPair draws a uniformly random non-identity two-qubit Pauli
+// P0⊗P1 (the depolarizing-style gate error model) by rejection: each try
+// draws P0, then P1, and I⊗I is drawn again.
+func RandomPauliPair(rng *rand.Rand) (p0, p1 Pauli) {
+	for {
+		p0 = Pauli(rng.Intn(4))
+		p1 = Pauli(rng.Intn(4))
+		if p0 != PauliI || p1 != PauliI {
+			return p0, p1
+		}
+	}
+}
+
+// ApplyPauliPair applies p0 to qubit q0, then p1 to qubit q1, skipping
+// identities.
+func (s *State) ApplyPauliPair(p0, p1 Pauli, q0, q1 int) {
+	if p0 != PauliI {
+		s.Apply1Q(p0.Mat(), q0)
+	}
+	if p1 != PauliI {
+		s.Apply1Q(p1.Mat(), q1)
 	}
 }
 

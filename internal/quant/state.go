@@ -20,12 +20,30 @@ type State struct {
 
 // NewState returns |0...0> over n qubits.
 func NewState(n int) *State {
-	if n < 1 || n > 26 {
-		panic(fmt.Sprintf("quant: unsupported qubit count %d", n))
-	}
+	checkQubitCount(n)
 	amp := make([]complex128, 1<<uint(n))
 	amp[0] = 1
 	return &State{N: n, Amp: amp}
+}
+
+// NewStates returns k states over n qubits backed by one allocation, each
+// |0...0>.
+func NewStates(k, n int) []State {
+	checkQubitCount(n)
+	dim := 1 << uint(n)
+	amp := make([]complex128, k*dim)
+	out := make([]State, k)
+	for i := range out {
+		out[i] = State{N: n, Amp: amp[i*dim : (i+1)*dim : (i+1)*dim]}
+		out[i].Amp[0] = 1
+	}
+	return out
+}
+
+func checkQubitCount(n int) {
+	if n < 1 || n > 26 {
+		panic(fmt.Sprintf("quant: unsupported qubit count %d", n))
+	}
 }
 
 // Clone returns a deep copy of s.
@@ -191,6 +209,13 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 	if rng.Float64() < p1 {
 		outcome = 1
 	}
+	s.Collapse(q, outcome)
+	return outcome
+}
+
+// Collapse projects qubit q onto the given outcome (0 or 1) and
+// renormalizes: the post-measurement state of MeasureQubit.
+func (s *State) Collapse(q, outcome int) {
 	// Zero the half of every block that disagrees with the outcome.
 	bit := 1 << uint(q)
 	off := bit
@@ -201,7 +226,6 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
 		clear(s.Amp[i0 : i0+bit])
 	}
 	s.Normalize()
-	return outcome
 }
 
 // Sample draws a basis-state index from the state's distribution without
@@ -254,6 +278,25 @@ func (s *State) ApplyKraus(ks []*[4]complex128, q int, rng *rand.Rand) {
 		}
 	}
 	s.Apply1Q(ks[last], q)
+	s.Normalize()
+}
+
+// KrausThresholds writes the cumulative Born probabilities of every branch
+// of ks but the last to acc (len(ks)-1 entries), summed as ApplyKraus sums
+// them: ApplyKraus with draw r takes the first branch k with r < acc[k],
+// else the last.
+func (s *State) KrausThresholds(ks []*[4]complex128, q int, acc []float64) {
+	sum := 0.0
+	for i, k := range ks[:len(ks)-1] {
+		sum += krausBranchProb(s, k, q)
+		acc[i] = sum
+	}
+}
+
+// ApplyKrausBranch applies the Kraus operator k to qubit q and renormalizes:
+// the trajectory step ApplyKraus takes once it has chosen branch k.
+func (s *State) ApplyKrausBranch(k *[4]complex128, q int) {
+	s.Apply1Q(k, q)
 	s.Normalize()
 }
 

@@ -193,7 +193,8 @@ func (t noiseTable) trajectory(g *Group, seq []int, state *quant.State, noise Pa
 		state.Apply2Q(&el.U, 1, 0)
 		cn := &t[el.CNOTs]
 		if cn.drawError && rng.Float64() < cn.errProb {
-			applyRandomPauliPair(state, rng)
+			p0, p1 := quant.RandomPauliPair(rng)
+			state.ApplyPauliPair(p0, p1, 0, 1)
 		}
 		for _, ch := range cn.idle {
 			state.ApplyKraus(ch.Ks, ch.Q, rng)
@@ -208,23 +209,6 @@ func (t noiseTable) trajectory(g *Group, seq []int, state *quant.State, noise Pa
 		b1 ^= 1
 	}
 	return b0 == 0 && b1 == 0
-}
-
-func applyRandomPauliPair(state *quant.State, rng *rand.Rand) {
-	for {
-		p0 := quant.Pauli(rng.Intn(4))
-		p1 := quant.Pauli(rng.Intn(4))
-		if p0 == quant.PauliI && p1 == quant.PauliI {
-			continue
-		}
-		if p0 != quant.PauliI {
-			state.Apply1Q(p0.Mat(), 0)
-		}
-		if p1 != quant.PauliI {
-			state.Apply1Q(p1.Mat(), 1)
-		}
-		return
-	}
 }
 
 // MeasureIndependent runs standalone RB for the CNOT on edge e of the

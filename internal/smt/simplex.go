@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"slices"
 )
 
@@ -151,6 +152,13 @@ type simplex struct {
 	// majority under DPLL(T) search) never touch the tableau at all.
 	dirty []int
 
+	// suspects is a bitset of the basic variables whose value or bound
+	// moved since check last saw them within their bounds. Every basic
+	// variable outside it is within its bounds, so its least violated
+	// member is the least violated basic variable overall, the one Bland's
+	// rule picks.
+	suspects []uint64
+
 	// debugStrict, when true, validates tableau invariants after mutations
 	// (test-only; very slow).
 	debugStrict bool
@@ -190,8 +198,14 @@ func (s *simplex) addVar() int {
 	s.cols = append(s.cols, nil)
 	s.accIdx = append(s.accIdx, 0)
 	s.accGen = append(s.accGen, 0)
+	if v%64 == 0 {
+		s.suspects = append(s.suspects, 0)
+	}
 	return v
 }
+
+// suspect marks basic variable v for check's violation scan.
+func (s *simplex) suspect(v int) { s.suspects[v/64] |= 1 << (v % 64) }
 
 // bumpGen invalidates every accumulator mark in O(1) (amortized; the
 // uint32 wraparound clear runs once per 4 billion bumps).
@@ -488,8 +502,7 @@ func (s *simplex) assertUpper(v int, c float64, lit int) ([]int, bool) {
 	}
 	s.trail = append(s.trail, trailEntry{v: v, isUp: true, prev: s.upper[v]})
 	s.upper[v] = bound{val: cr, lit: lit, active: true}
-	s.needCheck = true
-	s.dirty = append(s.dirty, v)
+	s.boundMoved(v)
 	s.debugAfter("assertUpper")
 	return nil, true
 }
@@ -506,10 +519,20 @@ func (s *simplex) assertLower(v int, c float64, lit int) ([]int, bool) {
 	}
 	s.trail = append(s.trail, trailEntry{v: v, isUp: false, prev: s.lower[v]})
 	s.lower[v] = bound{val: cr, lit: lit, active: true}
-	s.needCheck = true
-	s.dirty = append(s.dirty, v)
+	s.boundMoved(v)
 	s.debugAfter("assertLower")
 	return nil, true
+}
+
+// boundMoved records a tightened bound of v: a basic variable becomes a
+// suspect, a nonbasic one is clamped at the next check.
+func (s *simplex) boundMoved(v int) {
+	s.needCheck = true
+	if s.isBasic[v] {
+		s.suspect(v)
+	} else {
+		s.dirty = append(s.dirty, v)
+	}
 }
 
 func explain(lits ...int) []int {
@@ -537,6 +560,7 @@ func (s *simplex) updateNonbasic(j int, v *num) {
 		s.nst.mul(&s.t1, r.ent[ce.rpos].v, &s.t2)
 		s.nst.quo(&s.t1, &s.t1, &r.den)
 		s.nst.add(&s.val[ce.row], &s.val[ce.row], &s.t1)
+		s.suspect(int(ce.row))
 	}
 	s.val[j].set(v)
 }
@@ -557,9 +581,11 @@ func (s *simplex) pivotAndUpdate(b, j int, v *num) {
 			s.nst.mul(&s.t1, r.ent[ce.rpos].v, theta)
 			s.nst.quo(&s.t1, &s.t1, &r.den)
 			s.nst.add(&s.val[k], &s.val[k], &s.t1)
+			s.suspect(k)
 		}
 	}
 	s.pivot(b, j)
+	s.suspect(j)
 	s.debugAfter("pivotAndUpdate")
 }
 
@@ -684,7 +710,7 @@ func (s *simplex) check() ([]int, bool) {
 	// bounds, which is a no-op or a legal move either way.
 	for _, v := range s.dirty {
 		if s.isBasic[v] {
-			continue
+			continue // became basic in a pivot, which made it a suspect
 		}
 		if s.lower[v].active && s.nst.cmp(&s.val[v], &s.lower[v].val) < 0 {
 			s.updateNonbasic(v, &s.lower[v].val)
@@ -694,24 +720,35 @@ func (s *simplex) check() ([]int, bool) {
 	}
 	s.dirty = s.dirty[:0]
 	for {
-		// Find the smallest-index basic variable violating a bound.
+		// Find the smallest-index basic variable violating a bound: the
+		// least violated suspect. Suspects found within their bounds (or
+		// no longer basic) are cleared.
 		b := -1
 		var target *num
 		var belowLower bool
-		for v := 0; v < s.n; v++ {
-			if !s.isBasic[v] {
-				continue
-			}
-			if s.lower[v].active && s.nst.cmp(&s.val[v], &s.lower[v].val) < 0 {
-				b, target, belowLower = v, &s.lower[v].val, true
-				break
-			}
-			if s.upper[v].active && s.nst.cmp(&s.val[v], &s.upper[v].val) > 0 {
-				b, target, belowLower = v, &s.upper[v].val, false
-				break
+	scan:
+		for w, word := range s.suspects {
+			for ; word != 0; word &= word - 1 {
+				v := w*64 + bits.TrailingZeros64(word)
+				if s.isBasic[v] {
+					if s.lower[v].active && s.nst.cmp(&s.val[v], &s.lower[v].val) < 0 {
+						b, target, belowLower = v, &s.lower[v].val, true
+						break scan
+					}
+					if s.upper[v].active && s.nst.cmp(&s.val[v], &s.upper[v].val) > 0 {
+						b, target, belowLower = v, &s.upper[v].val, false
+						break scan
+					}
+				}
+				s.suspects[w] &^= 1 << (v % 64)
 			}
 		}
 		if b < 0 {
+			if s.debugStrict {
+				if msg := s.debugCheckBounds(); msg != "" {
+					panic("smt: check left bounds violated: " + msg)
+				}
+			}
 			s.needCheck = false
 			return nil, true
 		}
@@ -1134,6 +1171,15 @@ func (s *simplex) debugCheckInvariants() string {
 			if int(ce.rpos) >= len(row) || int(row[ce.rpos].col) != j {
 				return fmt.Sprintf("cols[%d] cites row %d entry %d which does not mention it", j, b, ce.rpos)
 			}
+		}
+	}
+	for v := 0; v < s.n; v++ {
+		if !s.isBasic[v] || s.suspects[v/64]&(1<<(v%64)) != 0 {
+			continue
+		}
+		if s.lower[v].active && st.cmp(&s.val[v], &s.lower[v].val) < 0 ||
+			s.upper[v].active && st.cmp(&s.val[v], &s.upper[v].val) > 0 {
+			return fmt.Sprintf("basic %d violates a bound but is no suspect", v)
 		}
 	}
 	return ""

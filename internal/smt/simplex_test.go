@@ -206,3 +206,72 @@ func TestStrictChainsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSuspectsCoverViolations runs random scheduling-shaped encodings with
+// strict invariant checks, one of which is that every basic variable
+// violating a bound is a suspect: check's least violated suspect is then
+// the least violated basic variable, the pivot a full scan would pick.
+func TestSuspectsCoverViolations(t *testing.T) {
+	// The entering variable can overshoot its own bound: fixing s = x + y
+	// >= 5 first moves x, the least index, to 5 above its bound 1, and x
+	// must then be fixed as a violated basic variable.
+	sx := newSimplex(nil)
+	sx.debugStrict = true
+	x, y := sx.addVar(), sx.addVar()
+	sum := sx.defineSlack([]linTerm{{Var(x), 1}, {Var(y), 1}})
+	for _, b := range []struct {
+		v     int
+		lower bool
+		c     float64
+	}{{x, true, 0}, {x, false, 1}, {y, true, 0}, {y, false, 10}, {sum, true, 5}} {
+		assert := sx.assertUpper
+		if b.lower {
+			assert = sx.assertLower
+		}
+		if _, ok := assert(b.v, b.c, -1); !ok {
+			t.Fatalf("bound on %d rejected", b.v)
+		}
+	}
+	if _, ok := sx.check(); !ok {
+		t.Fatal("x + y >= 5 with x <= 1, y <= 10 reported infeasible")
+	}
+	if sx.value(x) != 1 || sx.value(y) != 4 {
+		t.Fatalf("x = %v, y = %v, want 1 and 4", sx.value(x), sx.value(y))
+	}
+	if sx.pivots != 2 {
+		t.Fatalf("%d pivots, want 2", sx.pivots)
+	}
+
+	for seed := int64(1); seed <= 6; seed++ {
+		s := NewSolver()
+		s.EnableDebugStrict()
+		rng := rand.New(rand.NewSource(seed))
+		n := 8
+		vars := make([]Var, n)
+		obj := Const(0)
+		for i := range vars {
+			vars[i] = s.Real()
+			// Nonzero lower bounds make check clamp nonbasic variables,
+			// which moves every row that mentions them.
+			s.Assert(Ge(V(vars[i]), Const(float64(rng.Intn(60)))))
+			s.Assert(Le(V(vars[i]), Const(300)))
+			obj = obj.Add(Term(vars[i], float64(1+rng.Intn(5))))
+		}
+		for k := 0; k < 2*n; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i == j {
+				continue
+			}
+			b := s.Bool()
+			gap := float64(5 + rng.Intn(40))
+			s.Assert(Implies(BoolLit(b), Ge(V(vars[i]).Sub(V(vars[j])), Const(gap))))
+			s.Assert(Implies(Not(BoolLit(b)), Ge(V(vars[j]).Sub(V(vars[i])), Const(gap))))
+			if k%4 == 0 {
+				s.Assert(Le(V(vars[i]).Add(V(vars[j])).Add(V(vars[(i+j)%n])), Const(float64(200+rng.Intn(300)))))
+			}
+		}
+		if _, _, err := s.Minimize(obj); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
