@@ -418,16 +418,26 @@ func TestSchedBudgetContract(t *testing.T) {
 }
 
 // BenchmarkRBExperiment measures one simultaneous-RB measurement, the unit
-// of characterization cost.
+// of characterization cost, in the figure benchmarks' RB shape and in the
+// one perfbench's paper_loop campaigns run.
 func BenchmarkRBExperiment(b *testing.B) {
 	dev := device.MustNew(device.Poughkeepsie, 1)
 	gi, gj := device.NewEdge(10, 15), device.NewEdge(11, 12)
-	cfg := benchRB()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := rb.MeasureSimultaneous(dev, gi, gj, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name string
+		cfg  rb.Config
+	}{
+		{"bench", benchRB()},
+		{"paper_loop", rb.Config{Lengths: []int{1, 2, 4, 8, 16}, Sequences: 6, Shots: 64, Seed: 1}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := rb.MeasureSimultaneous(dev, gi, gj, shape.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

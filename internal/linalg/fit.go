@@ -89,11 +89,14 @@ func FitExpDecayFixedB(ms []float64, ys []float64, b float64) (ExpDecayFit, erro
 		return ExpDecayFit{A: Mean(ys) - b, Alpha: 1, B: b}, nil
 	}
 	best := ExpDecayFit{RMSE: math.Inf(1)}
+	// xs[i] holds alpha^ms[i] for the alpha being evaluated.
+	xs := make([]float64, len(ms))
 	eval := func(alpha float64) (ExpDecayFit, bool) {
 		// 1-parameter LS for A: minimize sum ((y-b) - A*alpha^m)^2.
 		var num, den float64
 		for i, m := range ms {
 			x := math.Pow(alpha, m)
+			xs[i] = x
 			num += (ys[i] - b) * x
 			den += x * x
 		}
@@ -102,8 +105,8 @@ func FitExpDecayFixedB(ms []float64, ys []float64, b float64) (ExpDecayFit, erro
 		}
 		fit := ExpDecayFit{A: num / den, Alpha: alpha, B: b}
 		var sse float64
-		for i, m := range ms {
-			r := ys[i] - (fit.A*math.Pow(alpha, m) + b)
+		for i, x := range xs {
+			r := ys[i] - (fit.A*x + b)
 			sse += r * r
 		}
 		fit.RMSE = math.Sqrt(sse / float64(len(ms)))

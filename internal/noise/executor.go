@@ -153,8 +153,8 @@ func (ex *Executor) buildSteps(s *core.Schedule, remap map[int]int, measured []i
 				last, seen := prevEnd[q]
 				if seen && ev.start > last {
 					qc := ex.Dev.Cal.Qubits[q]
-					for _, ch := range quant.IdleChannels(remap[q], ev.start-last, qc.T1, qc.T2) {
-						steps = append(steps, step{kind: opKraus, q0: ch.Q, ks: ch.Ks})
+					for _, d := range quant.IdleDampings(remap[q], ev.start-last, qc.T1, qc.T2) {
+						steps = append(steps, step{kind: opKraus, q0: d.Q, ks: d.Kraus()})
 					}
 				}
 			}

@@ -47,6 +47,8 @@ type tree struct {
 	// opMeasure readout flip, an opPauli code: 0 for no error, else
 	// p0<<2|p1).
 	rcol, ccol []int
+	// drawing lists the steps that draw, in step order.
+	drawing []int
 	// n is the chunk's shot count, the stride of every column.
 	n    int
 	r    []float64 // r[rcol*n+shot]
@@ -78,6 +80,7 @@ func newTree(steps []step, nq, nbits, maxShots int) *tree {
 	t := &tree{steps: steps, nbits: nbits, nq: nq, outcome: map[string]int{}}
 	t.rcol = make([]int, len(steps))
 	t.ccol = make([]int, len(steps))
+	t.drawing = make([]int, 0, len(steps))
 	nr, nc, nacc := 0, 0, 0
 	for i := range steps {
 		t.rcol[i], t.ccol[i] = -1, -1
@@ -94,7 +97,10 @@ func newTree(steps []step, nq, nbits, maxShots int) *tree {
 			t.end = i + 1
 		case opPauli:
 			t.ccol[i], nc = nc, nc+1
+		default:
+			continue
 		}
+		t.drawing = append(t.drawing, i)
 	}
 	t.r = make([]float64, nr*maxShots)
 	t.c = make([]uint8, nc*maxShots)
@@ -122,7 +128,7 @@ func (t *tree) run(n int, rng *rand.Rand) {
 func (t *tree) draw(n int, rng *rand.Rand) {
 	t.n = n
 	for shot := 0; shot < n; shot++ {
-		for i := range t.steps {
+		for _, i := range t.drawing {
 			switch st := &t.steps[i]; st.kind {
 			case opKraus:
 				t.r[t.rcol[i]*n+shot] = rng.Float64()

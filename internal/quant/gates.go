@@ -162,40 +162,66 @@ func (p Pauli) String() string {
 	}
 }
 
+// DampingKind is the kind of a one-qubit damping channel.
+type DampingKind uint8
+
+const (
+	// AmplitudeDamping is T1 relaxation: jump operator S1·|0><1|.
+	AmplitudeDamping DampingKind = iota
+	// PhaseDamping is pure dephasing: jump operator diag(0, S1).
+	PhaseDamping
+)
+
+// Damping is a damping channel on qubit Q, given by the entries of its two
+// Kraus operators: the no-jump operator diag(1, S0) and the jump operator
+// of its Kind.
+type Damping struct {
+	Q      int
+	Kind   DampingKind
+	S0, S1 float64
+}
+
+// newDamping returns the channel of the given kind with jump probability
+// gamma, clamped to [0, 1].
+func newDamping(q int, kind DampingKind, gamma float64) Damping {
+	g := clamp01(gamma)
+	return Damping{Q: q, Kind: kind, S0: math.Sqrt(1 - g), S1: math.Sqrt(g)}
+}
+
+// Kraus returns the channel's Kraus operators, no-jump first, as ApplyKraus
+// takes them.
+func (d Damping) Kraus() []*[4]complex128 {
+	k0 := [4]complex128{1, 0, 0, complex(d.S0, 0)}
+	var k1 [4]complex128
+	if d.Kind == AmplitudeDamping {
+		k1[1] = complex(d.S1, 0)
+	} else {
+		k1[3] = complex(d.S1, 0)
+	}
+	return []*[4]complex128{&k0, &k1}
+}
+
 // AmplitudeDampingKraus returns the Kraus operators of an amplitude damping
 // channel with decay probability gamma (T1 relaxation over some interval).
 func AmplitudeDampingKraus(gamma float64) []*[4]complex128 {
-	g := clamp01(gamma)
-	k0 := [4]complex128{1, 0, 0, complex(math.Sqrt(1-g), 0)}
-	k1 := [4]complex128{0, complex(math.Sqrt(g), 0), 0, 0}
-	return []*[4]complex128{&k0, &k1}
+	return newDamping(0, AmplitudeDamping, gamma).Kraus()
 }
 
 // PhaseDampingKraus returns the Kraus operators of a pure dephasing channel
 // with dephasing probability lambda (excess T2 loss over some interval).
 func PhaseDampingKraus(lambda float64) []*[4]complex128 {
-	l := clamp01(lambda)
-	k0 := [4]complex128{1, 0, 0, complex(math.Sqrt(1-l), 0)}
-	k1 := [4]complex128{0, 0, 0, complex(math.Sqrt(l), 0)}
-	return []*[4]complex128{&k0, &k1}
+	return newDamping(0, PhaseDamping, lambda).Kraus()
 }
 
-// Channel is a Kraus set on one qubit, applied as one trajectory step by
-// ApplyKraus.
-type Channel struct {
-	Q  int
-	Ks []*[4]complex128
-}
-
-// IdleChannels returns the trajectory channels of qubit q idling for dt ns:
+// IdleDampings returns the trajectory channels of qubit q idling for dt ns:
 // T1 amplitude damping, then pure dephasing at rate 1/T_phi = 1/T2 -
 // 1/(2 T1) when that rate is positive.
-func IdleChannels(q int, dt, t1, t2 float64) []Channel {
-	chs := []Channel{{q, AmplitudeDampingKraus(1 - math.Exp(-dt/t1))}}
+func IdleDampings(q int, dt, t1, t2 float64) []Damping {
+	ds := []Damping{newDamping(q, AmplitudeDamping, 1-math.Exp(-dt/t1))}
 	if invTphi := 1/t2 - 1/(2*t1); invTphi > 0 {
-		chs = append(chs, Channel{q, PhaseDampingKraus(1 - math.Exp(-dt*invTphi))})
+		ds = append(ds, newDamping(q, PhaseDamping, 1-math.Exp(-dt*invTphi)))
 	}
-	return chs
+	return ds
 }
 
 func clamp01(x float64) float64 {

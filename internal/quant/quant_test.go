@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -297,6 +298,112 @@ func TestPermutationGatesMatchApply2Q(t *testing.T) {
 						t.Fatalf("%s(%d,%d) amplitude %d: %v, dense %v", gate.name, a, b, i, got.Amp[i], want.Amp[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// drawSource makes rand.Rand.Float64 return the value it holds times
+// 2^-63.
+type drawSource struct{ v int64 }
+
+func (s *drawSource) Int63() int64 { return s.v }
+func (s *drawSource) Seed(int64)   {}
+
+// drawsAround returns generators whose first Float64 is r itself and the
+// float just below it, when r is a multiple of 2^-63 in (0, 1), plus one
+// drawing from rng. The first two put a draw exactly at a branch threshold
+// r, so a threshold summed in another order, even one ulp off, takes the
+// other branch for one of them.
+func drawsAround(r float64, rng *rand.Rand) []*rand.Rand {
+	out := []*rand.Rand{rand.New(&drawSource{rng.Int63()})}
+	for _, x := range []float64{r, math.Nextafter(r, 0)} {
+		if v := x * (1 << 63); x > 0 && x < 1 && v == math.Trunc(v) {
+			out = append(out, rand.New(&drawSource{int64(v)}))
+		}
+	}
+	return out
+}
+
+// TestState2MatchesState: every State2 step leaves the amplitudes State's
+// step leaves on a 2-qubit state, up to the sign of a zero, and takes the
+// same branch for draws at and just below each threshold: dense 4x4
+// products with exact zero and unit entries, all 16 Pauli pairs, damping
+// of both kinds on both qubits with gamma inside, at and beyond [0, 1],
+// and measurement of both qubits.
+func TestState2MatchesState(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	same := func(step string, s *State2, ref *State) {
+		t.Helper()
+		for i, a := range s {
+			if a != ref.Amp[i] {
+				t.Fatalf("%s: amplitude %d is %v, State has %v", step, i, a, ref.Amp[i])
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		ref := NewState(2)
+		for i := range ref.Amp {
+			ref.Amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		ref.Amp[rng.Intn(4)] = complex(0, rng.NormFloat64())
+		ref.Normalize()
+		var s State2
+		copy(s[:], ref.Amp)
+
+		var u [16]complex128
+		for i := range u {
+			switch rng.Intn(4) {
+			case 0:
+				u[i] = 0
+			case 1:
+				u[i] = []complex128{1, -1, 1i, -1i}[rng.Intn(4)]
+			default:
+				u[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		ref.Apply2Q(&u, 1, 0)
+		s.Apply(&u)
+		same("Apply", &s, ref)
+		ref.Normalize()
+		s.normalize()
+		same("normalize", &s, ref)
+
+		for p0 := PauliI; p0 <= PauliZ; p0++ {
+			for p1 := PauliI; p1 <= PauliZ; p1++ {
+				r, c := ref.Clone(), s
+				r.ApplyPauliPair(p0, p1, 0, 1)
+				c.ApplyPauliPair(p0, p1)
+				same(fmt.Sprintf("Pauli %v%v", p0, p1), &c, r)
+			}
+		}
+
+		for _, kind := range []DampingKind{AmplitudeDamping, PhaseDamping} {
+			for q := 0; q < 2; q++ {
+				for _, gamma := range []float64{-0.5, 0, 0.02, 0.3, 0.5, 1, 1.5} {
+					d := newDamping(q, kind, gamma)
+					acc := make([]float64, 1)
+					ref.KrausThresholds(d.Kraus(), q, acc)
+					for _, draw := range drawsAround(acc[0], rng) {
+						v := draw.Int63()
+						r, c := ref.Clone(), s
+						r.ApplyKraus(d.Kraus(), q, rand.New(&drawSource{v}))
+						c.ApplyDamping(&d, rand.New(&drawSource{v}))
+						same(fmt.Sprintf("damping %+v draw %v", d, v), &c, r)
+					}
+				}
+			}
+		}
+
+		for q := 0; q < 2; q++ {
+			for _, draw := range drawsAround(ref.ProbOne(q), rng) {
+				v := draw.Int63()
+				r, c := ref.Clone(), s
+				want := r.MeasureQubit(q, rand.New(&drawSource{v}))
+				if got := c.MeasureQubit(q, rand.New(&drawSource{v})); got != want {
+					t.Fatalf("measure qubit %d draw %v: outcome %d, State has %d", q, v, got, want)
+				}
+				same(fmt.Sprintf("measure qubit %d", q), &c, r)
 			}
 		}
 	}

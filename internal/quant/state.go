@@ -70,15 +70,17 @@ func (s *State) Norm() float64 {
 	return math.Sqrt(n)
 }
 
-// Normalize rescales the state to unit norm.
+// Normalize rescales the state to unit norm. It scales re and im by the
+// real 1/n, which gives what a complex multiply by 1/n gives up to the sign
+// of a zero.
 func (s *State) Normalize() {
 	n := s.Norm()
 	if n == 0 {
 		return
 	}
-	inv := complex(1/n, 0)
-	for i := range s.Amp {
-		s.Amp[i] *= inv
+	inv := 1 / n
+	for i, a := range s.Amp {
+		s.Amp[i] = scale(inv, a)
 	}
 }
 

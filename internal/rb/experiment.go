@@ -88,9 +88,17 @@ type PairNoise struct {
 // applies T1/T2 damping across the Clifford's duration.
 func Run(noise PairNoise, cfg Config) (Outcome, error) {
 	g := TwoQubitCliffordGroup()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	table := newNoiseTable(g, noise)
-	state := quant.NewState(2)
+	return run(g, cfg, func(seq []int, rng *rand.Rand) bool {
+		return table.trajectory(g, seq, noise, rng)
+	})
+}
+
+// run samples cfg's Clifford sequences, runs cfg.Shots shots of each
+// through survives, which executes one shot and reports whether both qubits
+// measured 0, and fits the survival curve.
+func run(g *Group, cfg Config, survives func(seq []int, rng *rand.Rand) bool) (Outcome, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	var seq []int
 	var curve []Point
 	for _, m := range cfg.Lengths {
@@ -108,7 +116,7 @@ func Run(noise PairNoise, cfg Config) (Outcome, error) {
 			}
 			seq = append(seq, g.Elems[comp].Inv)
 			for shot := 0; shot < cfg.Shots; shot++ {
-				if table.trajectory(g, seq, state, noise, rng) {
+				if survives(seq, rng) {
 					survived++
 				}
 				total++
@@ -157,9 +165,9 @@ type cliffordNoise struct {
 	// is then the probability of a random two-qubit Pauli.
 	drawError bool
 	errProb   float64
-	// idle lists the decoherence channels across the Clifford's duration,
+	// idle lists the damping channels across the Clifford's duration,
 	// qubit 0's before qubit 1's.
-	idle []quant.Channel
+	idle []quant.Damping
 }
 
 // noiseTable is indexed by CNOT count.
@@ -178,7 +186,7 @@ func newNoiseTable(g *Group, noise PairNoise) noiseTable {
 			if dur <= 0 || qc.T1 <= 0 {
 				continue
 			}
-			cn.idle = append(cn.idle, quant.IdleChannels(q, dur, qc.T1, qc.T2)...)
+			cn.idle = append(cn.idle, quant.IdleDampings(q, dur, qc.T1, qc.T2)...)
 		}
 	}
 	return table
@@ -186,22 +194,22 @@ func newNoiseTable(g *Group, noise PairNoise) noiseTable {
 
 // trajectory executes one shot of a Clifford sequence on |00> and reports
 // whether both qubits measured back to 0.
-func (t noiseTable) trajectory(g *Group, seq []int, state *quant.State, noise PairNoise, rng *rand.Rand) bool {
-	state.Reset()
+func (t noiseTable) trajectory(g *Group, seq []int, noise PairNoise, rng *rand.Rand) bool {
+	var s quant.State2
+	s.Reset()
 	for _, idx := range seq {
 		el := &g.Elems[idx]
-		state.Apply2Q(&el.U, 1, 0)
+		s.Apply(&el.U)
 		cn := &t[el.CNOTs]
 		if cn.drawError && rng.Float64() < cn.errProb {
-			p0, p1 := quant.RandomPauliPair(rng)
-			state.ApplyPauliPair(p0, p1, 0, 1)
+			s.ApplyPauliPair(quant.RandomPauliPair(rng))
 		}
-		for _, ch := range cn.idle {
-			state.ApplyKraus(ch.Ks, ch.Q, rng)
+		for i := range cn.idle {
+			s.ApplyDamping(&cn.idle[i], rng)
 		}
 	}
-	b0 := state.MeasureQubit(0, rng)
-	b1 := state.MeasureQubit(1, rng)
+	b0 := s.MeasureQubit(0, rng)
+	b1 := s.MeasureQubit(1, rng)
 	if rng.Float64() < noise.Qubit0.ReadoutError {
 		b0 ^= 1
 	}

@@ -1,11 +1,15 @@
 package rb
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"xtalk/internal/device"
 	"xtalk/internal/linalg"
+	"xtalk/internal/quant"
 )
 
 func TestTwoQubitCliffordGroupSize(t *testing.T) {
@@ -207,5 +211,122 @@ func TestRunAllocsIndependentOfShots(t *testing.T) {
 	}
 	if a8, a64 := allocs(8), allocs(64); a64 > a8 {
 		t.Fatalf("rb.Run allocates %v at 64 shots, %v at 8", a64, a8)
+	}
+}
+
+// referenceRun is Run on the generic n-qubit simulator: each Clifford's
+// idle channels are Kraus sets, applied by State.ApplyKraus to one 2-qubit
+// State. Run must return exactly its outcome.
+func referenceRun(noise PairNoise, cfg Config) (Outcome, error) {
+	g := TwoQubitCliffordGroup()
+	type channel struct {
+		q  int
+		ks []*[4]complex128
+	}
+	errProb := make([]float64, g.maxCNOTs+1)
+	idle := make([][]channel, g.maxCNOTs+1)
+	for cnots := range idle {
+		if cnots > 0 && noise.CNOTErrorRate > 0 {
+			errProb[cnots] = 1 - math.Pow(1-noise.CNOTErrorRate, float64(cnots))
+		}
+		dur := float64(cnots)*noise.CNOTDuration + 2*device.Default1QDuration
+		for q, qc := range []device.QubitCal{noise.Qubit0, noise.Qubit1} {
+			if dur <= 0 || qc.T1 <= 0 {
+				continue
+			}
+			for _, d := range quant.IdleDampings(q, dur, qc.T1, qc.T2) {
+				idle[cnots] = append(idle[cnots], channel{d.Q, d.Kraus()})
+			}
+		}
+	}
+	state := quant.NewState(2)
+	return run(g, cfg, func(seq []int, rng *rand.Rand) bool {
+		state.Reset()
+		for _, idx := range seq {
+			el := &g.Elems[idx]
+			state.Apply2Q(&el.U, 1, 0)
+			if el.CNOTs > 0 && noise.CNOTErrorRate > 0 && rng.Float64() < errProb[el.CNOTs] {
+				p0, p1 := quant.RandomPauliPair(rng)
+				state.ApplyPauliPair(p0, p1, 0, 1)
+			}
+			for _, ch := range idle[el.CNOTs] {
+				state.ApplyKraus(ch.ks, ch.q, rng)
+			}
+		}
+		b0 := state.MeasureQubit(0, rng)
+		b1 := state.MeasureQubit(1, rng)
+		if rng.Float64() < noise.Qubit0.ReadoutError {
+			b0 ^= 1
+		}
+		if rng.Float64() < noise.Qubit1.ReadoutError {
+			b1 ^= 1
+		}
+		return b0 == 0 && b1 == 0
+	})
+}
+
+// TestRunMatchesReference: the fixed-size kernel returns the generic
+// simulator's outcome bit for bit (EPC, CNOTError, every Fit field, every
+// survival) over paper_loop's RB shape and DefaultConfig, CNOT errors from
+// none to certain, and decoherence with and without a dephasing channel,
+// with no idle channel, with zero-length CNOTs, and with a damping
+// probability of 0 (a zero jump operator) and of 1 (a zero no-jump
+// diagonal). Readout error alternates between 0 and 0.05 across the CNOT
+// errors, so every decoherence case runs with both.
+//
+// A threshold summed in another order is at most an ulp off, which a draw
+// crosses with a chance near 2^-53, so no outcome shows it;
+// quant's TestState2MatchesState puts draws on the thresholds instead.
+func TestRunMatchesReference(t *testing.T) {
+	shapes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper_loop", Config{Lengths: []int{1, 2, 4, 8, 16}, Sequences: 6, Shots: 64}},
+		{"default", DefaultConfig()},
+	}
+	base := PairNoise{
+		CNOTDuration: 400,
+		Qubit0:       device.QubitCal{T1: 60e3, T2: 50e3},
+		Qubit1:       device.QubitCal{T1: 80e3, T2: 90e3},
+	}
+	decoherence := []struct {
+		name string
+		set  func(*PairNoise)
+	}{
+		{"t1t2", func(*PairNoise) {}},
+		{"no-dephasing", func(n *PairNoise) { n.Qubit0.T2, n.Qubit1.T2 = 2*n.Qubit0.T1, 3*n.Qubit1.T1 }},
+		{"no-idle", func(n *PairNoise) { n.Qubit0.T1, n.Qubit1.T1 = 0, 0 }},
+		{"zero-cnot", func(n *PairNoise) { n.CNOTDuration = 0 }},
+		{"gamma0", func(n *PairNoise) { n.Qubit0.T1, n.Qubit1.T1 = math.Inf(1), math.Inf(1) }},
+		{"gamma1", func(n *PairNoise) { n.Qubit0.T1 = 1e-3 }},
+		{"dephasing1", func(n *PairNoise) { n.Qubit1.T2 = 1e-3 }},
+		{"short-t1t2", func(n *PairNoise) {
+			n.Qubit0.T1, n.Qubit0.T2, n.Qubit1.T1, n.Qubit1.T2 = 2e3, 1.5e3, 1e3, 1.9e3
+		}},
+	}
+	seed := int64(0)
+	for _, shape := range shapes {
+		for i, rate := range []float64{0, 0.01, 0.3, 1} {
+			for j, deco := range decoherence {
+				noise := base
+				noise.CNOTErrorRate = rate
+				deco.set(&noise)
+				readout := 0.05 * float64((i+j)%2)
+				noise.Qubit0.ReadoutError, noise.Qubit1.ReadoutError = readout, readout
+				cfg := shape.cfg
+				seed++
+				cfg.Seed = seed
+				name := fmt.Sprintf("%s/rate%v/%s/readout%v", shape.name, rate, deco.name, readout)
+				got, gotErr := Run(noise, cfg)
+				want, wantErr := referenceRun(noise, cfg)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: outcome %+v, reference %+v", name, got, want)
+				}
+			}
+		}
 	}
 }
