@@ -21,60 +21,6 @@ type ExpDecayFit struct {
 // points or non-decaying data).
 var ErrBadFit = errors.New("linalg: cannot fit exponential decay")
 
-// FitExpDecay fits y = A*alpha^m + B to the given points by a grid+refinement
-// search over alpha with linear least squares for (A, B) at each candidate.
-// This is robust for the noisy, small-sample survival curves produced by RB.
-func FitExpDecay(ms []float64, ys []float64) (ExpDecayFit, error) {
-	if len(ms) != len(ys) || len(ms) < 3 {
-		return ExpDecayFit{}, ErrBadFit
-	}
-	// Near-constant data is degenerate (any alpha fits with A ~ 0); report
-	// no decay rather than an arbitrary grid point.
-	if StdDev(ys) < 1e-6 {
-		return ExpDecayFit{A: 0, Alpha: 1, B: Mean(ys)}, nil
-	}
-	best := ExpDecayFit{RMSE: math.Inf(1)}
-	eval := func(alpha float64) (ExpDecayFit, bool) {
-		// Linear LS for A, B given alpha: y = A*x + B with x = alpha^m.
-		design := NewMatrix(len(ms), 2)
-		for i, m := range ms {
-			design.Set(i, 0, math.Pow(alpha, m))
-			design.Set(i, 1, 1)
-		}
-		coef, err := LeastSquares(design, ys)
-		if err != nil {
-			return ExpDecayFit{}, false
-		}
-		fit := ExpDecayFit{A: coef[0], Alpha: alpha, B: coef[1]}
-		var sse float64
-		for i, m := range ms {
-			r := ys[i] - (fit.A*math.Pow(alpha, m) + fit.B)
-			sse += r * r
-		}
-		fit.RMSE = math.Sqrt(sse / float64(len(ms)))
-		return fit, true
-	}
-	// Coarse grid.
-	for alpha := 0.300; alpha <= 0.9999; alpha += 0.002 {
-		if fit, ok := eval(alpha); ok && fit.RMSE < best.RMSE {
-			best = fit
-		}
-	}
-	if math.IsInf(best.RMSE, 1) {
-		return ExpDecayFit{}, ErrBadFit
-	}
-	// Refinement around the best alpha.
-	lo := math.Max(1e-4, best.Alpha-0.002)
-	hi := math.Min(0.99999, best.Alpha+0.002)
-	for i := 0; i <= 400; i++ {
-		alpha := lo + (hi-lo)*float64(i)/400
-		if fit, ok := eval(alpha); ok && fit.RMSE < best.RMSE {
-			best = fit
-		}
-	}
-	return best, nil
-}
-
 // FitExpDecayFixedB fits y = A*alpha^m + B with B pinned (e.g. 0.25, the
 // two-qubit RB asymptote: the maximally mixed state's survival, which
 // symmetric readout flips preserve). Pinning B halves the fit's degrees of

@@ -91,6 +91,7 @@ func (ex *Executor) Run(s *core.Schedule, opts Options) (*Result, error) {
 	steps := ex.buildSteps(s, remap, measured, opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	t := newTree(steps, compact.NQubits, len(measured), min(opts.Shots, chunkShots))
+	defer t.release()
 	for done := 0; done < opts.Shots; {
 		n := min(opts.Shots-done, chunkShots)
 		t.run(n, rng)

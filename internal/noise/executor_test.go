@@ -420,3 +420,59 @@ func TestRunMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRunConcurrentPooledTrees: runs on several goroutines at once share
+// treePool, and trees go back to it sized for other circuits and shot
+// counts; every run must still return the histogram it returns alone.
+func TestRunConcurrentPooledTrees(t *testing.T) {
+	dev := device.MustNew(device.Poughkeepsie, 1)
+	type run struct {
+		s    *core.Schedule
+		opts Options
+	}
+	var runs []run
+	for k, p := range workloads.SwapBenchmarkPairs[device.Poughkeepsie][:3] {
+		c, err := workloads.SwapCircuit(dev.Topo, p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.ParSched{}.Schedule(c, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shots := range []int{7, 300, chunkShots + 1} {
+			runs = append(runs, run{s, Options{Shots: shots, Seed: int64(k*10 + shots)}})
+		}
+	}
+	want := make([]map[string]int, len(runs))
+	for i, r := range runs {
+		res, err := NewExecutor(dev).Run(r.s, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Counts
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for j := range runs {
+				i := (j*(w+1) + w) % len(runs)
+				res, err := NewExecutor(dev).Run(runs[i].s, runs[i].opts)
+				if err == nil && !maps.Equal(res.Counts, want[i]) {
+					err = fmt.Errorf("run %d on worker %d: counts %v, alone %v", i, w, res.Counts, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"xtalk/internal/quant"
 )
@@ -26,7 +27,8 @@ import (
 // shots, and a group of one shot never splits, so at most
 // floor(log2(chunkShots)) copies are live at once, on top of the root
 // state. They are allocated together at a run's first split and reused as
-// a stack.
+// a stack. A finished run's tree goes back to treePool, so the next run
+// (often on a new Executor) reuses its columns, buffers and states.
 
 // chunkShots is the number of shots whose draws are held at once.
 const chunkShots = 2048
@@ -65,8 +67,8 @@ type tree struct {
 	nq       int
 	root     *quant.State
 	// copies are the split states, used as a stack: live of them are in
-	// use. There are floor(log2(len(idx))) of them, allocated at the first
-	// split.
+	// use. There are at least floor(log2(len(idx))) of them, allocated at
+	// the first split that finds none.
 	copies []quant.State
 	live   int
 	// outcome maps a bitstring to its index in tally.
@@ -74,13 +76,28 @@ type tree struct {
 	tally   []int
 }
 
-// newTree sizes a tree for chunks of up to maxShots shots over nq compact
-// qubits and nbits measurement slots.
+// treePool recycles trees between runs.
+var treePool = sync.Pool{New: func() any { return &tree{outcome: map[string]int{}} }}
+
+// resize returns a length-n slice, reusing s's backing array when it is
+// large enough. The contents are unspecified: every user writes an element
+// before reading it.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// newTree returns a tree from treePool, sized for chunks of up to maxShots
+// shots over nq compact qubits and nbits measurement slots, with an empty
+// histogram. Release it when the run is done.
 func newTree(steps []step, nq, nbits, maxShots int) *tree {
-	t := &tree{steps: steps, nbits: nbits, nq: nq, outcome: map[string]int{}}
-	t.rcol = make([]int, len(steps))
-	t.ccol = make([]int, len(steps))
-	t.drawing = make([]int, 0, len(steps))
+	t := treePool.Get().(*tree)
+	t.steps, t.nbits, t.nq, t.end = steps, nbits, nq, 0
+	t.rcol = resize(t.rcol, len(steps))
+	t.ccol = resize(t.ccol, len(steps))
+	t.drawing = t.drawing[:0]
 	nr, nc, nacc := 0, 0, 0
 	for i := range steps {
 		t.rcol[i], t.ccol[i] = -1, -1
@@ -102,15 +119,28 @@ func newTree(steps []step, nq, nbits, maxShots int) *tree {
 		}
 		t.drawing = append(t.drawing, i)
 	}
-	t.r = make([]float64, nr*maxShots)
-	t.c = make([]uint8, nc*maxShots)
-	t.bits = make([]byte, nbits*maxShots)
-	t.idx = make([]int32, maxShots)
-	t.tmp = make([]int32, maxShots)
-	t.key = make([]uint8, maxShots)
-	t.acc = make([]float64, nacc)
-	t.root = quant.NewState(nq)
+	t.r = resize(t.r, nr*maxShots)
+	t.c = resize(t.c, nc*maxShots)
+	t.bits = resize(t.bits, nbits*maxShots)
+	t.idx = resize(t.idx, maxShots)
+	t.tmp = resize(t.tmp, maxShots)
+	t.key = resize(t.key, maxShots)
+	t.acc = resize(t.acc, nacc)
+	if t.root == nil || t.root.N != nq {
+		t.root = quant.NewState(nq)
+	}
+	if len(t.copies) > 0 && (t.copies[0].N != nq || len(t.copies) < bits.Len(uint(maxShots))-1) {
+		t.copies = nil
+	}
+	clear(t.outcome)
+	t.tally = t.tally[:0]
 	return t
+}
+
+// release returns t to treePool; t must not be used afterwards.
+func (t *tree) release() {
+	t.steps = nil
+	treePool.Put(t)
 }
 
 // run draws the next n shots from rng and tallies their outcomes.

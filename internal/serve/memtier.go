@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"strconv"
 	"sync"
@@ -27,13 +28,15 @@ import (
 //   - the artifact (absent on a non-owner that only promoted a peer reply);
 //   - its steady-state reply — the mem-tier cache hit a repeat request is
 //     served as — JSON-encoded once, with the offset where a tag splices in;
-//   - its aliases: hashes of the resolved (spec, seed, day, source) requests
-//     seen to canonicalize to it, so a repeat skips parse, canonicalize and
-//     hash;
+//   - its aliases: hashes of the requests seen to canonicalize to it, so a
+//     repeat skips parse, canonicalize and hash. An untagged /compile body
+//     is keyed by its bytes (bodyKey), so its repeat skips decoding too;
+//     tagged, deadline-carrying and programmatic requests by their
+//     resolved (spec, seed, day, source) identity (memoKey);
 //   - how often a peer has served it, driving non-owner promotion.
 //
 // Everything is content-addressed, so there is no invalidation problem: an
-// epoch flip changes the resolved identity and simply misses. One byte
+// epoch flip changes both kinds of key and simply misses. One byte
 // bound covers the lot; an entry over it sheds its oldest aliases before
 // any entry is evicted, and an evicted entry takes its aliases with it.
 
@@ -252,8 +255,8 @@ func (t *memTier) stats() CacheStats {
 	}
 }
 
-// memoKeyBufPool recycles the preimage scratch buffers memoKey hashes, so
-// computing a key allocates nothing once the pool is warm.
+// memoKeyBufPool recycles the preimage scratch buffers memoKey and bodyKey
+// hash, so computing a key allocates nothing once the pool is warm.
 var memoKeyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
@@ -279,15 +282,40 @@ func memoKey(spec string, seed int64, day int, source string) aliasKey {
 	return sum
 }
 
+// bodyKey hashes a raw /compile body into an alias: the body bytes, whether
+// they were sent as JSON or as the bare source, and the epoch the body's
+// omitted device, seed and day default to. Equal bytes under one epoch
+// decode to the same request, so the key stands for its resolved identity
+// without decoding it. The preimage opens with a NUL byte, which no device
+// spec (and so no memoKey preimage) starts with.
+func bodyKey(def Epoch, isJSON bool, body []byte) aliasKey {
+	bp := memoKeyBufPool.Get().(*[]byte)
+	b := append((*bp)[:0], 0, 's')
+	if isJSON {
+		b[1] = 'j'
+	}
+	b = binary.AppendUvarint(b, uint64(len(def.Device)))
+	b = append(b, def.Device...)
+	b = binary.AppendVarint(b, def.Seed)
+	b = binary.AppendVarint(b, int64(def.Day))
+	b = append(b, body...)
+	sum := sha256.Sum256(b)
+	*bp = b
+	memoKeyBufPool.Put(bp)
+	return sum
+}
+
 // steady returns resp in its steady-state form — the untagged mem-tier
 // cache hit a repeat request is served as — with its wire bytes encoded
-// once: exactly what json.Encoder would write, trailing newline included.
-// tagAt is where writeJSON splices a tag field in, so a tagged repeat
-// shares the same bytes.
+// once: exactly what json.Encoder would write, trailing newline included,
+// with its Content-Length header value rendered alongside. tagAt is where
+// writeJSON splices a tag field in, so a tagged repeat shares the same
+// bytes.
 func steady(resp CompileResponse) *CompileResponse {
 	resp.Tier, resp.Cached, resp.PeerTier, resp.Collapsed, resp.Tag = TierMem, true, "", false, ""
 	if b, err := json.Marshal(&resp); err == nil {
 		resp.encoded = append(b, '\n')
+		resp.length = []string{strconv.Itoa(len(resp.encoded))}
 		resp.tagAt = bytes.Index(b, []byte(`,"device":`))
 	}
 	return &resp

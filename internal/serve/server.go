@@ -220,12 +220,14 @@ type CompileResponse struct {
 	QASM      string  `json:"qasm"`
 
 	// encoded, when set, is the untagged response's exact JSON wire form
-	// (trailing newline included) and tagAt the offset where a non-empty
-	// Tag's field goes: the HTTP layer writes it with a Content-Length
-	// instead of re-marshalling. Responses and bytes served out of the
-	// memory tier are shared between requests and must be treated as
-	// immutable by everything downstream of compile.
+	// (trailing newline included), length its Content-Length header value
+	// and tagAt the offset where a non-empty Tag's field goes: the HTTP
+	// layer writes it with a Content-Length instead of re-marshalling.
+	// Responses, bytes and header values served out of the memory tier are
+	// shared between requests and must be treated as immutable by
+	// everything downstream of compile.
 	encoded []byte
+	length  []string
 	tagAt   int
 }
 
@@ -629,12 +631,16 @@ func (s *Server) touchEngine(key string) {
 // ring → singleflight → admission → cold compile. It is the
 // transport-independent core of the /compile handler.
 func (s *Server) Compile(ctx context.Context, req CompileRequest) (*CompileResponse, error) {
-	return s.serve(ctx, req, false)
+	return s.serve(false, func() (*CompileResponse, error) {
+		return s.compile(ctx, req, s.CurrentEpoch(), aliasKey{}, false)
+	})
 }
 
-// serve is Compile plus the forwarded flag: proxied requests (forwarded ==
-// true) must not re-proxy, whatever this daemon thinks the ring looks like.
-func (s *Server) serve(ctx context.Context, req CompileRequest, forwarded bool) (*CompileResponse, error) {
+// serve runs one /compile request under the admission accounting: it is
+// counted as active, as a request and — when forwarded by a peer — as
+// proxied in, and it is shed while draining. A failed run counts as an
+// error.
+func (s *Server) serve(forwarded bool, run func() (*CompileResponse, error)) (*CompileResponse, error) {
 	// The active count is taken before the draining check: a request that
 	// passes the check is visible to Drain's in-flight accounting, so the
 	// drain can never lose a request admitted concurrently with it.
@@ -649,7 +655,7 @@ func (s *Server) serve(ctx context.Context, req CompileRequest, forwarded bool) 
 		return nil, &shedError{status: http.StatusServiceUnavailable, retryAfter: time.Second,
 			msg: "draining: not admitting new compiles"}
 	}
-	resp, err := s.compile(ctx, req, forwarded)
+	resp, err := run()
 	if err != nil {
 		s.errors.Add(1)
 	}
@@ -669,8 +675,13 @@ func deadlineOf(ctx context.Context, req CompileRequest) (time.Time, bool) {
 	return dl, ok
 }
 
-func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool) (*CompileResponse, error) {
-	def := s.CurrentEpoch()
+// compile resolves req with its omitted device, seed and day taken from
+// def. body is the request's body key when the HTTP layer has already
+// looked it up (an untagged /compile body without a deadline): it is the
+// alias this request registers. Otherwise the resolved identity's memoKey
+// is looked up and registered. forwarded requests (proxied by a peer) must
+// not re-proxy, whatever this daemon thinks the ring looks like.
+func (s *Server) compile(ctx context.Context, req CompileRequest, def Epoch, body aliasKey, forwarded bool) (*CompileResponse, error) {
 	spec, seed, day := def.Device, def.Seed, def.Day
 	if req.Device != "" {
 		spec = req.Device
@@ -686,8 +697,8 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	// Warm fast path: the request's resolved identity is an alias of a
 	// memory-tier entry, so a hit skips parse, canonicalize, hash and
 	// marshal — the request becomes one lock-brief lookup plus one Write.
-	var key aliasKey
-	if req.Source != "" {
+	key := body
+	if key == (aliasKey{}) && req.Source != "" {
 		key = memoKey(spec, seed, day, req.Source)
 		if fp, art, reply := s.mem.get("", key); fp != "" {
 			if hasDL && time.Until(dl) <= 0 {
@@ -1278,6 +1289,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleCompile serves POST /compile. A body is looked up by its bytes
+// first: the body key (bodyKey) hashes them with the body's kind and the
+// one epoch snapshot its omitted device, seed and day resolve against, and
+// a hit writes the entry's steady reply without decoding. A miss decodes —
+// a JSON CompileRequest, or any other body as the bare source — and
+// resolves through compile under the same snapshot: resolved key (tagged
+// and deadline_ms bodies only), fingerprint, disk, ring owner, cold solve.
+// An untagged body without a deadline registers its body key as the alias
+// there, so its next repeat hits before decoding. A tagged reply is not the
+// steady one, and a deadline_ms body rarely repeats byte for byte (a
+// forwarding peer refreshes its deadline on every attempt), so those
+// register their resolved identity instead.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required"})
@@ -1302,17 +1325,34 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
 	}
-	var req CompileRequest
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "json") {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error()})
-			return
+	def := s.CurrentEpoch()
+	isJSON := strings.Contains(r.Header.Get("Content-Type"), "json")
+	key := bodyKey(def, isJSON, body)
+	forwarded := r.Header.Get(peerHeader) != ""
+	resp, err := s.serve(forwarded, func() (*CompileResponse, error) {
+		if fp, art, reply := s.mem.get("", key); fp != "" {
+			// Only the transport deadline can have passed: a body with a
+			// deadline_ms never registers its body key.
+			if dl, ok := r.Context().Deadline(); ok && time.Until(dl) <= 0 {
+				return nil, errDeadlineExhausted
+			}
+			return s.memHit(CompileRequest{}, fp, key, art, reply), nil
 		}
-	} else {
-		// Raw program body (curl-friendly): the whole payload is the source.
-		req.Source = string(body)
-	}
-	resp, err := s.serve(r.Context(), req, r.Header.Get(peerHeader) != "")
+		var req CompileRequest
+		if isJSON {
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, &badRequestError{fmt.Errorf("bad JSON: %w", err)}
+			}
+			if req.Tag != "" || req.DeadlineMS != 0 {
+				key = aliasKey{}
+			}
+		} else {
+			// Raw program body (curl-friendly): the whole payload is the
+			// source.
+			req.Source = string(body)
+		}
+		return s.compile(r.Context(), req, def, key, forwarded)
+	})
 	if err != nil {
 		status := http.StatusInternalServerError
 		var bad *badRequestError
@@ -1424,11 +1464,11 @@ var (
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	if resp, ok := v.(*CompileResponse); ok && len(resp.encoded) > 0 {
 		if resp.Tag == "" {
-			writeRawJSON(w, status, resp.encoded)
+			writeRawJSON(w, status, resp.length, resp.encoded)
 			return
 		}
 		tag, _ := json.Marshal(resp.Tag) // a string always marshals
-		writeRawJSON(w, status, resp.encoded[:resp.tagAt], tagField, tag, resp.encoded[resp.tagAt:])
+		writeRawJSON(w, status, nil, resp.encoded[:resp.tagAt], tagField, tag, resp.encoded[resp.tagAt:])
 		return
 	}
 	buf := jsonBufPool.Get().(*bytes.Buffer)
@@ -1438,21 +1478,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeRawJSON(w, status, buf.Bytes())
+	writeRawJSON(w, status, nil, buf.Bytes())
 	jsonBufPool.Put(buf)
 }
 
-var tagField = []byte(`,"tag":`)
+var (
+	tagField        = []byte(`,"tag":`)
+	jsonContentType = []string{"application/json"}
+)
 
-// writeRawJSON writes the concatenation of parts as one JSON body.
-func writeRawJSON(w http.ResponseWriter, status int, parts ...[]byte) {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
+// writeRawJSON writes the concatenation of parts as one JSON body. length
+// is its pre-rendered Content-Length header value, or nil to count it
+// here. Header value slices are set directly, without a copy: net/http
+// only reads them, so a steady reply's slice is shared by every hit.
+func writeRawJSON(w http.ResponseWriter, status int, length []string, parts ...[]byte) {
+	if length == nil {
+		n := 0
+		for _, p := range parts {
+			n += len(p)
+		}
+		length = []string{strconv.Itoa(n)}
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(n))
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = length
 	w.WriteHeader(status)
 	for _, p := range parts {
 		if _, err := w.Write(p); err != nil {

@@ -226,7 +226,7 @@ func TestDiskWarmHitSpeedup(t *testing.T) {
 }
 
 // BenchmarkServeMemHit measures the full warm-path round trip — HTTP POST,
-// request-alias lookup in the memory tier, single socket write of the
+// body-key lookup in the memory tier, single socket write of the
 // pre-encoded reply — through a real net/http server: the cold heavyhex:27
 // solve is paid once in setup, then every iteration must be a memory hit
 // that re-serves the same pre-encoded bytes.
@@ -287,12 +287,14 @@ func BenchmarkServeMemHit(b *testing.B) {
 // measured allocs/op cover the whole loopback round trip — load-generator
 // client included — so the ceiling is far above the server's own share, but
 // low enough that an accidental per-hit re-encode of the response (tens of
-// KiB of JSON plus encoder state) blows through it immediately.
+// KiB of JSON plus encoder state) blows through it immediately. The ceiling
+// is the 86 allocs/op measured with the body-key hit (Go 1.24, linux/amd64)
+// plus 5; the decoded hit it replaced measured 96.
 func TestServeMemHitAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold heavyhex:27 solve in -short mode (and the gate is meaningless under -race)")
 	}
-	const maxAllocsPerOp = 120
+	const maxAllocsPerOp = 91
 	res := testing.Benchmark(BenchmarkServeMemHit)
 	t.Logf("mem-hit round trip: %v/op, %d allocs/op, %d B/op",
 		time.Duration(res.NsPerOp()), res.AllocsPerOp(), res.AllocedBytesPerOp())
