@@ -1,9 +1,8 @@
 // Command xtalkchar runs a crosstalk characterization campaign on a
 // simulated device and prints the measurement plan, machine-time estimate,
-// measured conditional error rates, and detected high-crosstalk pairs. The
-// campaign runs through the compilation pipeline's characterization
-// front-end, so the measured noise data is installed exactly as a scheduling
-// pipeline would consume it.
+// measured conditional error rates, and detected high-crosstalk pairs, and
+// reports the size of the noise data a scheduler would consume (the
+// campaign's estimates as pipeline.Config.Noise).
 //
 // Usage:
 //
@@ -12,14 +11,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"xtalk/internal/characterize"
 	"xtalk/internal/device"
-	"xtalk/internal/pipeline"
 	"xtalk/internal/rb"
 )
 
@@ -60,8 +57,7 @@ func run(spec, policyName string, seed int64, day int, threshold float64) error 
 	}
 	cfg := rb.DefaultConfig()
 	cfg.Seed = seed
-	p := pipeline.New(dev, pipeline.Config{Threshold: threshold})
-	rep, err := p.Characterize(context.Background(), policy, highPairs, cfg)
+	rep, err := characterize.Run(dev, policy, highPairs, cfg)
 	if err != nil {
 		return err
 	}
@@ -81,11 +77,12 @@ func run(spec, policyName string, seed int64, day int, threshold float64) error 
 	for _, pr := range rep.HighCrosstalkPairs(threshold) {
 		fmt.Println("  ", pr)
 	}
+	nd := rep.NoiseData(dev, threshold)
 	nCond := 0
-	for _, m := range p.Noise.Conditional {
+	for _, m := range nd.Conditional {
 		nCond += len(m)
 	}
 	fmt.Printf("\nscheduler noise data installed: %d independent rates, %d conditional entries\n",
-		len(p.Noise.Independent), nCond)
+		len(nd.Independent), nCond)
 	return nil
 }

@@ -101,7 +101,7 @@ const encodeMagic = "xtalkc1\n"
 // independent gates) encode to identical byte strings; any semantic
 // difference — qubit count, gate set, operand order, parameter bits —
 // changes the encoding. The encoding is the content-addressing basis for
-// the compilation cache (pipeline.Compiler.Fingerprint hashes it together
+// the compilation cache (pipeline.Pipeline.Fingerprint hashes it together
 // with the device identity and compile configuration).
 func (c *Circuit) Encode() []byte {
 	canon := c.Canonical()

@@ -331,7 +331,7 @@ func Scalability(ctx context.Context, opts Options, cases ...struct{ Qubits, Gat
 		cfg.CompactErrorEncoding = true
 		cfg.Timeout = ScalabilityBudget
 		x := core.NewXtalkSched(nd, cfg)
-		r := p.Run(ctx, pipeline.Request{
+		r := p.Compile(ctx, pipeline.Request{
 			Tag:     fmt.Sprintf("%dq/%dg", tc.Qubits, tc.Gates),
 			Circuit: c, Scheduler: x,
 		})

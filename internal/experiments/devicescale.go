@@ -141,7 +141,7 @@ func DeviceScale(ctx context.Context, opts Options, specs ...string) (*DeviceSca
 		}
 		cfg := xtalkConfig(0.5)
 		cfg.CompactErrorEncoding = true
-		r := p.Run(ctx, pipeline.Request{
+		r := p.Compile(ctx, pipeline.Request{
 			Tag: spec + " supremacy", Circuit: sc,
 			Scheduler: core.NewXtalkSched(nd, cfg),
 		})
@@ -153,7 +153,7 @@ func DeviceScale(ctx context.Context, opts Options, specs ...string) (*DeviceSca
 		// The same circuit through the conflict-partitioned engine under the
 		// same budget: the decomposition's compile-time win (and its quality
 		// price) per device size.
-		rp := p.Run(ctx, pipeline.Request{
+		rp := p.Compile(ctx, pipeline.Request{
 			Tag: spec + " supremacy partitioned", Circuit: sc,
 			Scheduler: core.NewPartitionedXtalkSched(nd, cfg, core.PartitionOpts{}),
 		})

@@ -51,53 +51,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Mul returns the matrix product m*other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * other.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m*v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d * vec(%d)", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j := 0; j < m.Cols; j++ {
-			s += m.At(i, j) * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Transpose returns the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // Inverse returns the inverse of a square matrix using Gauss-Jordan
 // elimination with partial pivoting.
 func (m *Matrix) Inverse() (*Matrix, error) {
@@ -143,28 +96,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// SolveLinear solves the square system A x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	inv, err := a.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(b), nil
-}
-
-// LeastSquares solves min_x ||A x - b||_2 via the normal equations
-// (A^T A) x = A^T b. Adequate for the small, well-conditioned design
-// matrices used in decay fitting.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: design matrix has %d rows, rhs has %d", a.Rows, len(b))
-	}
-	at := a.Transpose()
-	ata := at.Mul(a)
-	atb := at.MulVec(b)
-	return SolveLinear(ata, atb)
 }
 
 func swapRows(m *Matrix, i, j int) {

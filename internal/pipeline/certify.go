@@ -14,8 +14,8 @@ import (
 // certifier for free, so an engine regression cannot hide behind a test
 // that only asserts its own property. (testing.Testing() is false in real
 // binaries, where the check stays opt-in via the -certify flags.)
-func (c *Compiler) certifyEnabled() bool {
-	return c.cfg.Certify || testing.Testing()
+func (p *Pipeline) certifyEnabled() bool {
+	return p.cfg.Certify || testing.Testing()
 }
 
 // certifyCheck runs the independent certifier against a freshly produced
@@ -24,22 +24,22 @@ func (c *Compiler) certifyEnabled() bool {
 // the numbers the serving layer hands out.
 //
 // The certifier re-derives the crosstalk pair relation from the raw device
-// calibration whenever the engine scheduled against ground truth (the
-// memoized GroundTruthNoise at the engine threshold); only when the engine
-// consumed measured characterization data is that data handed over, since
+// calibration whenever the engine schedules against ground truth (recorded
+// once at construction); only when the engine consumed measured
+// characterization data is that data handed over, since
 // scoring against a model the hardware never exhibited would flag every
 // schedule. Alignment (Eq. 11-13) is not enforced here: the greedy engine
 // and budget-expired partition windows legitimately produce unaligned
 // overlaps.
-func (c *Compiler) certifyCheck(s *core.Schedule) *certify.Report {
+func (p *Pipeline) certifyCheck(s *core.Schedule) *certify.Report {
 	cfg := certify.Config{
-		Omega:       c.omega(),
-		Threshold:   c.cfg.Threshold,
+		Omega:       p.omega(),
+		Threshold:   p.cfg.Threshold,
 		CheckCost:   true,
-		ClaimedCost: s.Cost(c.Noise, c.omega()),
+		ClaimedCost: s.Cost(p.Noise, p.omega()),
 	}
-	if c.Noise != GroundTruthNoise(c.Dev, c.cfg.Threshold) {
-		cfg.Noise = certifyNoiseModel(c.Noise)
+	if !p.groundTruth {
+		cfg.Noise = certifyNoiseModel(p.Noise)
 	}
 	return certify.Check(s, cfg)
 }

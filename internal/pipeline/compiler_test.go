@@ -33,7 +33,7 @@ func fingerprintCircuits() (*circuit.Circuit, *circuit.Circuit) {
 // compile knobs, noise threshold — must change the hash.
 func TestFingerprintOrderStable(t *testing.T) {
 	dev := testDev(t)
-	c := NewCompiler(dev, Config{Budget: time.Second})
+	c := New(dev, Config{Budget: time.Second})
 	a, b := fingerprintCircuits()
 	if c.Fingerprint(a) != c.Fingerprint(b) {
 		t.Fatal("independent-gate reordering changed the fingerprint")
@@ -52,15 +52,15 @@ func TestFingerprintOrderStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add("day", NewCompiler(day1, Config{Budget: time.Second}).Fingerprint(a))
-	add("seed", NewCompiler(device.MustNew(device.Poughkeepsie, 2), Config{Budget: time.Second}).Fingerprint(a))
-	add("device", NewCompiler(device.MustNew(device.Johannesburg, 1), Config{Budget: time.Second}).Fingerprint(a))
-	add("omega", NewCompiler(dev, Config{Budget: time.Second, Omega: 0.9}).Fingerprint(a))
-	add("budget", NewCompiler(dev, Config{Budget: 2 * time.Second}).Fingerprint(a))
-	add("partition", NewCompiler(dev, Config{Budget: time.Second, Partition: true}).Fingerprint(a))
-	add("window", NewCompiler(dev, Config{Budget: time.Second, Partition: true, WindowGates: 4}).Fingerprint(a))
-	add("threshold", NewCompiler(dev, Config{Budget: time.Second, Threshold: 2}).Fingerprint(a))
-	add("route", NewCompiler(dev, Config{Budget: time.Second, Route: true}).Fingerprint(a))
+	add("day", New(day1, Config{Budget: time.Second}).Fingerprint(a))
+	add("seed", New(device.MustNew(device.Poughkeepsie, 2), Config{Budget: time.Second}).Fingerprint(a))
+	add("device", New(device.MustNew(device.Johannesburg, 1), Config{Budget: time.Second}).Fingerprint(a))
+	add("omega", New(dev, Config{Budget: time.Second, Omega: 0.9}).Fingerprint(a))
+	add("budget", New(dev, Config{Budget: 2 * time.Second}).Fingerprint(a))
+	add("partition", New(dev, Config{Budget: time.Second, Partition: true}).Fingerprint(a))
+	add("window", New(dev, Config{Budget: time.Second, Partition: true, WindowGates: 4}).Fingerprint(a))
+	add("threshold", New(dev, Config{Budget: time.Second, Threshold: 2}).Fingerprint(a))
+	add("route", New(dev, Config{Budget: time.Second, Route: true}).Fingerprint(a))
 	add("circuit", c.Fingerprint(crosstalkCircuit(2)))
 }
 
@@ -69,7 +69,7 @@ func TestFingerprintOrderStable(t *testing.T) {
 // cache entry.
 func TestArtifactFingerprintCoversRequestScheduler(t *testing.T) {
 	dev := testDev(t)
-	c := NewCompiler(dev, Config{Budget: 5 * time.Second})
+	c := New(dev, Config{Budget: 5 * time.Second})
 	a, _ := fingerprintCircuits()
 	def, err := c.Artifact(context.Background(), Request{Circuit: a})
 	if err != nil {
@@ -93,8 +93,8 @@ func TestArtifactFingerprintCoversRequestScheduler(t *testing.T) {
 func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	dev := testDev(t)
 	a, _ := fingerprintCircuits()
-	base := NewCompiler(dev, Config{Budget: time.Second}).Fingerprint(a)
-	with := NewCompiler(dev, Config{Budget: time.Second, Shots: 1024, Mitigate: true, Workers: 4}).Fingerprint(a)
+	base := New(dev, Config{Budget: time.Second}).Fingerprint(a)
+	with := New(dev, Config{Budget: time.Second, Shots: 1024, Mitigate: true, Workers: 4}).Fingerprint(a)
 	if base != with {
 		t.Fatal("execution knobs changed the compile fingerprint")
 	}
@@ -106,7 +106,7 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 // because Artifact compiles the canonical form.
 func TestCompilerRunArtifact(t *testing.T) {
 	dev := testDev(t)
-	c := NewCompiler(dev, Config{Budget: 5 * time.Second})
+	c := New(dev, Config{Budget: 5 * time.Second})
 	a, b := fingerprintCircuits()
 	artA, err := c.Artifact(context.Background(), Request{Tag: "a", Circuit: a})
 	if err != nil {
@@ -133,12 +133,12 @@ func TestCompilerRunArtifact(t *testing.T) {
 	}
 }
 
-// TestCompilerSharedConcurrently: one engine, many goroutines, no shared
-// mutable state — per-request stats must land on each Result (run under
-// -race in CI).
+// TestCompilerSharedConcurrently: one engine, many goroutines — per-request
+// stats must land on each Result while the engine's totals stay race-free
+// (run under -race in CI).
 func TestCompilerSharedConcurrently(t *testing.T) {
 	dev := testDev(t)
-	c := NewCompiler(dev, Config{Budget: 5 * time.Second})
+	c := New(dev, Config{Budget: 5 * time.Second})
 	var wg sync.WaitGroup
 	results := make([]*Result, 8)
 	for i := range results {
@@ -162,14 +162,13 @@ func TestCompilerSharedConcurrently(t *testing.T) {
 	}
 }
 
-// TestPipelineAggregatesResultStats: the wrapper must fold request-local
-// stats into its aggregates (including stage errors) exactly as the old
-// shared-state path did.
+// TestPipelineAggregatesResultStats: the engine must fold request-local
+// stats into its per-stage totals, stage errors included.
 func TestPipelineAggregatesResultStats(t *testing.T) {
 	dev := testDev(t)
 	p := New(dev, Config{Budget: 5 * time.Second})
-	p.Run(context.Background(), Request{Tag: "ok", Circuit: crosstalkCircuit(1)})
-	p.Run(context.Background(), Request{Tag: "bad", Source: "cx q0 q1 q2 garbage"})
+	p.Compile(context.Background(), Request{Tag: "ok", Circuit: crosstalkCircuit(1)})
+	p.Compile(context.Background(), Request{Tag: "bad", Source: "cx q0 q1 q2 garbage"})
 	stats := p.Stats()
 	if stats["parse"].Runs != 2 || stats["parse"].Errors != 1 {
 		t.Fatalf("parse stage stats %+v, want 2 runs / 1 error", stats["parse"])
@@ -179,5 +178,125 @@ func TestPipelineAggregatesResultStats(t *testing.T) {
 	}
 	if p.SolveStats().Windows == 0 {
 		t.Fatal("solver effort not aggregated")
+	}
+}
+
+// TestSchedulerBudgetCap: a request Budget below the configured one rebuilds
+// the engine's scheduler with that budget on every SMT candidate, keeping
+// the engine's solve pool; a Budget at or above the configured one gets the
+// prebuilt scheduler, and a request scheduler override comes back as given.
+func TestSchedulerBudgetCap(t *testing.T) {
+	dev := testDev(t)
+	const capped = 20 * time.Millisecond
+	checkPart := func(t *testing.T, p *Pipeline, s core.Scheduler) {
+		t.Helper()
+		part, ok := s.(*core.PartitionedXtalkSched)
+		if !ok {
+			t.Fatalf("candidate is %T, want *core.PartitionedXtalkSched", s)
+		}
+		if part.Config.Timeout != capped {
+			t.Fatalf("partitioned timeout %v, want %v", part.Config.Timeout, capped)
+		}
+		if part.Pool == nil || part.Pool != p.pool {
+			t.Fatal("capped partitioned scheduler lost the engine's solve pool")
+		}
+	}
+	shapes := []struct {
+		name  string
+		cfg   Config
+		check func(t *testing.T, p *Pipeline, s core.Scheduler)
+	}{
+		{"monolithic", Config{Budget: time.Second}, func(t *testing.T, _ *Pipeline, s core.Scheduler) {
+			x, ok := s.(*core.XtalkSched)
+			if !ok {
+				t.Fatalf("got %T, want *core.XtalkSched", s)
+			}
+			if x.Config.Timeout != capped {
+				t.Fatalf("timeout %v, want %v", x.Config.Timeout, capped)
+			}
+		}},
+		{"partition", Config{Budget: time.Second, Partition: true}, checkPart},
+		{"portfolio", Config{Budget: time.Second, Portfolio: true}, func(t *testing.T, p *Pipeline, s core.Scheduler) {
+			port, ok := s.(*core.PortfolioSched)
+			if !ok {
+				t.Fatalf("got %T, want *core.PortfolioSched", s)
+			}
+			smt := 0
+			for _, cand := range port.Candidates {
+				if _, ok := cand.(*core.HeuristicXtalkSched); ok {
+					continue
+				}
+				checkPart(t, p, cand)
+				smt++
+			}
+			if smt != 1 {
+				t.Fatalf("portfolio has %d SMT candidates, want 1", smt)
+			}
+		}},
+		{"unbudgeted", Config{}, func(t *testing.T, _ *Pipeline, s core.Scheduler) {
+			if x, ok := s.(*core.XtalkSched); !ok || x.Config.Timeout != capped {
+				t.Fatalf("run-to-optimality engine not capped: %#v", s)
+			}
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			p := New(dev, sh.cfg)
+			prebuilt := p.Scheduler(&Request{})
+			sh.check(t, p, p.Scheduler(&Request{Budget: capped}))
+			if sh.cfg.Budget > 0 {
+				for _, b := range []time.Duration{sh.cfg.Budget, 2 * sh.cfg.Budget} {
+					if got := p.Scheduler(&Request{Budget: b}); got != prebuilt {
+						t.Fatalf("budget %v at or above the configured %v rebuilt the scheduler", b, sh.cfg.Budget)
+					}
+				}
+			}
+			override := &core.HeuristicXtalkSched{Noise: p.Noise, Omega: 0.5}
+			if got := p.Scheduler(&Request{Scheduler: override, Budget: capped}); got != override {
+				t.Fatalf("request scheduler override replaced by %T", got)
+			}
+		})
+	}
+}
+
+// TestNewLeavesNoiseMemoAlone: engines built per (device, seed, day) — the
+// serving layer builds one per request identity — must not file their
+// ground truth in the process-global memo, which is never evicted. The
+// certifier must still treat both kinds of ground-truth engine as ground
+// truth, and measured noise as measured.
+func TestNewLeavesNoiseMemoAlone(t *testing.T) {
+	memoSize := func() int {
+		n := 0
+		noiseCache.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := memoSize()
+	for seed := int64(1000); seed < 1050; seed++ {
+		dev, err := device.NewFromSpec("linear:4", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(dev, Config{})
+		if !p.groundTruth {
+			t.Fatalf("seed %d: engine over its own ground truth not flagged", seed)
+		}
+		c := circuit.New(4)
+		c.CNOT(0, 1)
+		c.CNOT(2, 3)
+		c.Measure(1)
+		if res := p.Compile(context.Background(), Request{Circuit: c}); res.Err != nil {
+			t.Fatalf("seed %d: %v", seed, res.Err)
+		}
+	}
+	if after := memoSize(); after != before {
+		t.Fatalf("building 50 engines grew the ground-truth memo from %d to %d entries", before, after)
+	}
+
+	dev := testDev(t)
+	if !New(dev, Config{Noise: GroundTruthNoise(dev, 3)}).groundTruth {
+		t.Fatal("engine handed the memoized ground truth not flagged as ground truth")
+	}
+	if New(dev, Config{Noise: core.NoiseDataFromDevice(dev, 2)}).groundTruth {
+		t.Fatal("engine over other noise data flagged as ground truth")
 	}
 }

@@ -4,19 +4,15 @@
 // public facade, the CLI tools, the experiment drivers and the serving
 // layer all share.
 //
-// The package splits the flow into two layers:
-//
-//   - Compiler is the reusable engine: one device, one noise input, one
-//     stage stack, immutable after construction and therefore safe for
-//     unbounded concurrent use. Compile returns a Result whose statistics
-//     (stage timings, solver effort) are request-local; Run freezes a
-//     successful compile into an immutable CompiledArtifact, the cacheable
-//     unit of the serving layer, content-addressed by Fingerprint.
-//
-//   - Pipeline wraps a Compiler with cross-request aggregation: per-stage
-//     wall-clock totals, counts and error counts, plus accumulated solver
-//     effort, rendered by StatsString. It is the convenient handle for CLIs
-//     and experiments that compile many circuits and then report totals.
+// Pipeline is the one engine: one device, one noise input, one stage stack
+// and one solve pool, all fixed at construction, so any number of
+// compilations may share it concurrently — the property the serving layer
+// (internal/serve) relies on. Compile returns a Result whose statistics
+// (stage timings, solver effort) are request-local, and folds them into the
+// engine's per-stage totals under one short lock per request (rendered by
+// StatsString). Artifact freezes a successful compile into an immutable
+// CompiledArtifact, the cacheable unit of the serving layer,
+// content-addressed by Fingerprint.
 //
 // Every stage is context-aware: canceling the context aborts in-flight SMT
 // optimization within one conflict-check interval and fails the remaining
@@ -26,19 +22,18 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"xtalk/internal/characterize"
 	"xtalk/internal/circuit"
 	"xtalk/internal/core"
 	"xtalk/internal/device"
 	"xtalk/internal/metrics"
 	"xtalk/internal/noise"
-	"xtalk/internal/rb"
-
-	"fmt"
 )
 
 // Request is one compilation work item.
@@ -58,12 +53,11 @@ type Request struct {
 	// Seed seeds this item's noisy execution.
 	Seed int64
 	// Budget, when positive, caps this item's anytime SMT budget below the
-	// engine's configured one (it never raises it): the schedule stage
-	// rebuilds the scheduler with Timeout = min(engine budget, Budget).
-	// Deliberately excluded from artifact fingerprints — the serving layer
-	// uses it for deadline propagation and keeps capped (degraded) artifacts
-	// out of the caches. Ignored for scheduler types without an anytime
-	// budget.
+	// engine's configured one (it never raises it): Pipeline.Scheduler
+	// rebuilds the engine's scheduler with Timeout = min(engine budget,
+	// Budget). Deliberately excluded from artifact fingerprints — the
+	// serving layer uses it for deadline propagation and keeps capped
+	// (degraded) artifacts out of the caches. Ignored when Scheduler is set.
 	Budget time.Duration
 	// DisableCrosstalk executes on the crosstalk-free version of the device
 	// (the paper's "crosstalk-free hardware region" baselines).
@@ -119,22 +113,20 @@ func (r *Result) StageElapsed(stage string) time.Duration {
 	return 0
 }
 
-// Config shapes a Compiler (and hence a Pipeline).
+// Config shapes a Pipeline.
 type Config struct {
 	// Noise is the scheduler's characterization input. When nil the
-	// device's ground truth is extracted at Threshold (memoized per
-	// calibration — see GroundTruthNoise).
+	// device's ground truth is extracted at Threshold, once per engine.
 	Noise *core.NoiseData
 	// Threshold is the high-crosstalk detection ratio used when Noise is
 	// nil (default 3, the paper's setting).
 	Threshold float64
 	// Omega is the crosstalk weight factor for the default scheduler. The
 	// zero value means the paper default 0.5; pass a negative value for
-	// the true omega=0 (decoherence-only) ablation. Ignored when Scheduler
-	// is set.
+	// the true omega=0 (decoherence-only) ablation.
 	Omega float64
 	// Budget is the per-schedule anytime SMT budget for the default
-	// scheduler (0 = run to optimality). Ignored when Scheduler is set.
+	// scheduler (0 = run to optimality).
 	Budget time.Duration
 	// Partition routes the default scheduler through the conflict-
 	// partitioned engine: each circuit's crosstalk conflict graph is split
@@ -142,17 +134,14 @@ type Config struct {
 	// as its own small SMT instance over the engine's solve pool (so
 	// batch compilation overlaps windows across circuits), and the
 	// per-window schedules stitched back with barrier-respecting offsets.
-	// Ignored when Scheduler is set.
 	Partition bool
 	// WindowGates caps the two-qubit gates per window SMT instance when
 	// Partition or Portfolio is on (0 = core.DefaultMaxWindowGates).
 	WindowGates int
 	// Portfolio races the partitioned SMT engine against the greedy
 	// heuristic under the same Budget and keeps the lower-cost schedule
-	// (implies Partition). Ignored when Scheduler is set.
+	// (implies Partition).
 	Portfolio bool
-	// Scheduler overrides the default XtalkSched.
-	Scheduler core.Scheduler
 	// Route lowers circuits onto the device topology (meet-in-the-middle
 	// SWAP insertion) before scheduling.
 	Route bool
@@ -195,20 +184,35 @@ func defaultStages(cfg Config) []stage {
 	return st
 }
 
-// Pipeline is a Compiler plus cross-request statistics: per-stage
-// wall-clock aggregates and accumulated solver effort across every request
-// it has processed. Run/Batch delegate to the embedded engine and absorb
-// each Result's request-local stats under a single short lock per item —
-// the engine itself stays contention-free. All methods are safe for
-// concurrent use once the pipeline is built, except Characterize (which
-// swaps the engine and must not race Run/Batch).
+// Pipeline is the compilation engine: one device, one noise input, one
+// stage stack and one solve pool, fixed at construction and shared by any
+// number of concurrent compilations. The only state that changes after
+// construction is the per-stage totals, folded in under one short lock per
+// request, so every method is safe for concurrent use.
 type Pipeline struct {
-	*Compiler
+	Dev   *device.Device
+	Noise *core.NoiseData
 
-	mu    sync.Mutex
-	stats map[string]*StageStats
-	order []string // stage names in first-seen order, for stable reports
-	solve core.SolveStats
+	cfg    Config
+	sched  core.Scheduler
+	stages []stage
+	// pool bounds concurrent SMT window solves across the whole engine:
+	// when a batch compiles many circuits with the partitioned engine, all
+	// their windows contend for the same Config.Workers-sized pool.
+	pool *core.SolvePool
+	// groundTruth records that Noise is the device's ground truth at the
+	// engine threshold (extracted here, or the GroundTruthNoise memo handed
+	// in as Config.Noise), so the certifier re-derives crosstalk from the
+	// raw calibration instead of trusting the engine's input.
+	groundTruth bool
+	// fpEngine and fpNoise are the engine's fixed fingerprint inputs — the
+	// device and configuration, and the noise digest — computed once at
+	// construction instead of on every fingerprint.
+	fpEngine, fpNoise []byte
+
+	mu     sync.Mutex
+	totals []StageStats // one per stage, in stage-stack order
+	solve  core.SolveStats
 }
 
 // NewFromSpec builds a pipeline over the device described by a device spec
@@ -226,55 +230,152 @@ func NewFromSpec(spec string, seed int64, day int, cfg Config) (*Pipeline, error
 // New builds a pipeline over dev. See Config for the knobs; the zero Config
 // is a compile-only ground-truth-noise XtalkSched pipeline.
 func New(dev *device.Device, cfg Config) *Pipeline {
-	return &Pipeline{Compiler: NewCompiler(dev, cfg), stats: map[string]*StageStats{}}
+	if cfg.Threshold <= 0 {
+		cfg.Threshold = 3
+	}
+	p := &Pipeline{Dev: dev, Noise: cfg.Noise, cfg: cfg, stages: defaultStages(cfg)}
+	if p.Noise == nil {
+		// Not memoized: engines are built per request identity in the
+		// serving layer, and a process-global memo keyed by untrusted
+		// (device, seed, day) triples would grow without bound.
+		p.Noise = core.NoiseDataFromDevice(dev, cfg.Threshold)
+		p.groundTruth = true
+	} else {
+		p.groundTruth = p.Noise == memoizedGroundTruth(dev, cfg.Threshold)
+	}
+	p.pool = core.NewSolvePool(p.workers())
+	p.sched = p.buildScheduler(cfg.Budget)
+	p.totals = make([]StageStats, len(p.stages))
+	p.initFingerprint()
+	return p
 }
 
-// Characterize runs an SRB crosstalk-characterization campaign on the
-// pipeline's device and installs the measured noise data as the scheduler
-// input, replacing ground truth: the engine is swapped for one rebuilt over
-// the measured data (see Compiler.WithNoise for how explicit schedulers are
-// handled). highPairs seeds the HighCrosstalkOnly policy (from a previous
-// full campaign). Not safe to call concurrently with Run/Batch.
-func (p *Pipeline) Characterize(ctx context.Context, policy characterize.Policy, highPairs []device.EdgePair, cfg rb.Config) (*characterize.Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// Config returns the configuration the engine was built with (Threshold
+// normalized).
+func (p *Pipeline) Config() Config { return p.cfg }
+
+// workers is the engine's concurrency bound: Config.Workers, default
+// GOMAXPROCS.
+func (p *Pipeline) workers() int {
+	if p.cfg.Workers > 0 {
+		return p.cfg.Workers
 	}
-	rep, err := characterize.Run(p.Dev, policy, highPairs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Compiler = p.Compiler.WithNoise(rep.NoiseData(p.Dev, p.cfg.Threshold))
-	return rep, nil
+	return runtime.GOMAXPROCS(0)
 }
 
-// Run compiles one request through the stage stack and folds its
-// request-local statistics into the pipeline aggregates. The returned
-// Result always carries the request tag; Err records the first failing
-// stage.
-func (p *Pipeline) Run(ctx context.Context, req Request) *Result {
-	res := p.Compiler.Compile(ctx, req)
+// omega resolves the crosstalk weight the engine's scheduler and cost
+// reports use (Config.Omega conventions: 0 = paper default, negative =
+// true omega 0).
+func (p *Pipeline) omega() float64 {
+	if p.cfg.Omega > 0 {
+		return p.cfg.Omega
+	}
+	if p.cfg.Omega < 0 {
+		return 0
+	}
+	return core.DefaultXtalkConfig().Omega
+}
+
+// Scheduler returns the scheduler a request runs under, and is the one
+// place that choice is made: the request's own override when set;
+// otherwise the engine's scheduler, rebuilt with the request's Budget when
+// that is below the configured one (a configured 0 runs to optimality, so
+// any positive Budget is below it); otherwise the prebuilt scheduler. The
+// rebuild never mutates the shared engine. Deadlines cap the anytime
+// budget rather than the context: budget expiry yields the incumbent (or
+// heuristic fallback) as a valid schedule, where a context deadline hit
+// before the first incumbent would fail the compile outright.
+func (p *Pipeline) Scheduler(req *Request) core.Scheduler {
+	if req.Scheduler != nil {
+		return req.Scheduler
+	}
+	if req.Budget > 0 && (p.cfg.Budget <= 0 || req.Budget < p.cfg.Budget) {
+		return p.buildScheduler(req.Budget)
+	}
+	return p.sched
+}
+
+// buildScheduler builds the engine's scheduler with the given anytime
+// budget: monolithic XtalkSched, the conflict-partitioned engine over the
+// engine's solve pool, or the portfolio racing that engine against the
+// greedy heuristic.
+func (p *Pipeline) buildScheduler(budget time.Duration) core.Scheduler {
+	xc := core.DefaultXtalkConfig()
+	xc.Omega = p.omega()
+	xc.Timeout = budget
+	if !p.cfg.Partition && !p.cfg.Portfolio {
+		return core.NewXtalkSched(p.Noise, xc)
+	}
+	part := core.NewPartitionedXtalkSched(p.Noise, xc, core.PartitionOpts{MaxWindowGates: p.cfg.WindowGates})
+	part.Pool = p.pool
+	if !p.cfg.Portfolio {
+		return part
+	}
+	return &core.PortfolioSched{
+		Noise: p.Noise,
+		Omega: xc.Omega,
+		Candidates: []core.Scheduler{
+			&core.HeuristicXtalkSched{Noise: p.Noise, Omega: xc.Omega},
+			part,
+		},
+	}
+}
+
+// Compile runs one request through the stage stack and folds its
+// request-local statistics into the engine's totals. The returned Result
+// always carries the request tag; Err records the first failing stage.
+func (p *Pipeline) Compile(ctx context.Context, req Request) *Result {
+	res := &Result{Tag: req.Tag, Req: req, Circuit: req.Circuit}
+	for _, st := range p.stages {
+		if err := ctx.Err(); err != nil {
+			res.Err = err
+			break
+		}
+		t0 := time.Now()
+		err := st.Run(ctx, p, res)
+		res.Timings = append(res.Timings, StageTiming{Stage: st.Name(), Elapsed: time.Since(t0), Failed: err != nil})
+		if err != nil {
+			res.Err = fmt.Errorf("stage %s: %w", st.Name(), err)
+			break
+		}
+	}
 	p.absorb(res)
 	return res
 }
 
 // Batch compiles every request concurrently over a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) and returns results in request
-// order, folding each item's statistics into the pipeline aggregates as it
-// completes. Item failures are fail-soft: each Result carries its own Err
-// and never aborts siblings. Canceling ctx aborts in-flight SMT searches
-// within one conflict-check interval and marks all unstarted items with the
+// order. Item failures are fail-soft: each Result carries its own Err and
+// never aborts siblings. Canceling ctx aborts in-flight SMT searches within
+// one conflict-check interval and marks all unstarted items with the
 // context's error, so Batch returns promptly with partial results.
 func (p *Pipeline) Batch(ctx context.Context, reqs []Request) []*Result {
-	return p.Compiler.compileBatch(ctx, reqs, p.absorb)
-}
-
-// Artifact is Compiler.Artifact with pipeline aggregation: it compiles one
-// request into an immutable CompiledArtifact and folds the compile's
-// request-local statistics into the pipeline totals. It is the entry point
-// the serving layer uses, so cached deployments still report accurate
-// cumulative stage costs for the compiles that actually ran.
-func (p *Pipeline) Artifact(ctx context.Context, req Request) (*CompiledArtifact, error) {
-	return artifactVia(ctx, req, p.Compiler, p.Run)
+	out := make([]*Result, len(reqs))
+	workers := min(p.workers(), len(reqs))
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= len(reqs) {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					// Canceled: drain the remaining queue without compiling
+					// so callers get one tagged result per request.
+					out[i] = &Result{Tag: reqs[i].Tag, Req: reqs[i], Err: err}
+				} else {
+					out[i] = p.Compile(ctx, reqs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // StageStats aggregates one stage's cost across every request a pipeline
@@ -286,27 +387,17 @@ type StageStats struct {
 	Max    time.Duration
 }
 
-// absorb folds one Result's request-local statistics into the pipeline
-// aggregates: one short lock per request, instead of the per-stage
-// serialization the engine used to pay before the Compiler split.
+// absorb folds one Result's request-local statistics into the engine's
+// totals under one short lock. Compile appends timings in stage-stack
+// order and stops at the first failure, so Timings[i] is stage i.
 func (p *Pipeline) absorb(res *Result) {
-	if res == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, t := range res.Timings {
-		s := p.stats[t.Stage]
-		if s == nil {
-			s = &StageStats{}
-			p.stats[t.Stage] = s
-			p.order = append(p.order, t.Stage)
-		}
+	for i, t := range res.Timings {
+		s := &p.totals[i]
 		s.Runs++
 		s.Total += t.Elapsed
-		if t.Elapsed > s.Max {
-			s.Max = t.Elapsed
-		}
+		s.Max = max(s.Max, t.Elapsed)
 		if t.Failed {
 			s.Errors++
 		}
@@ -322,42 +413,42 @@ func (p *Pipeline) SolveStats() core.SolveStats {
 	return p.solve
 }
 
-// Stats returns a snapshot of the per-stage aggregates.
+// Stats returns a snapshot of the per-stage aggregates of every stage that
+// has run, keyed by stage name.
 func (p *Pipeline) Stats() map[string]StageStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]StageStats, len(p.stats))
-	for k, v := range p.stats {
-		out[k] = *v
+	out := make(map[string]StageStats, len(p.totals))
+	for i, s := range p.totals {
+		if s.Runs > 0 {
+			out[p.stages[i].Name()] = s
+		}
 	}
 	return out
 }
 
-// StatsString renders the per-stage aggregates as an aligned table, stages
-// in execution order.
+// StatsString renders the per-stage aggregates of every stage that has run
+// as an aligned table, stages in execution order.
 func (p *Pipeline) StatsString() string {
 	p.mu.Lock()
-	names := append([]string(nil), p.order...)
-	stats := make([]StageStats, len(names))
-	for i, n := range names {
-		stats[i] = *p.stats[n]
-	}
+	totals := append([]StageStats(nil), p.totals...)
 	solve := p.solve
 	p.mu.Unlock()
-	if len(names) == 0 {
-		return "pipeline: no stages run\n"
-	}
 	var sb strings.Builder
-	sb.WriteString("stage           runs  errs  total        max          mean\n")
-	for i, n := range names {
-		s := stats[i]
-		mean := time.Duration(0)
-		if s.Runs > 0 {
-			mean = s.Total / time.Duration(s.Runs)
+	for i, s := range totals {
+		if s.Runs == 0 {
+			continue
 		}
+		if sb.Len() == 0 {
+			sb.WriteString("stage           runs  errs  total        max          mean\n")
+		}
+		mean := s.Total / time.Duration(s.Runs)
 		fmt.Fprintf(&sb, "%-14s  %4d  %4d  %-11v  %-11v  %v\n",
-			n, s.Runs, s.Errors, s.Total.Round(time.Microsecond),
+			p.stages[i].Name(), s.Runs, s.Errors, s.Total.Round(time.Microsecond),
 			s.Max.Round(time.Microsecond), mean.Round(time.Microsecond))
+	}
+	if sb.Len() == 0 {
+		return "pipeline: no stages run\n"
 	}
 	if solve.Windows > 0 {
 		fmt.Fprintf(&sb, "solver: %s\n", solve)

@@ -175,7 +175,7 @@ func TestOversizedCircuitFailsCleanly(t *testing.T) {
 		{Tag: "prebuilt", Circuit: wide},
 		{Tag: "qasm", Source: "OPENQASM 2.0;\nqreg q[30];\ncx q[0],q[29];\n"},
 	} {
-		res := p.Run(context.Background(), req)
+		res := p.Compile(context.Background(), req)
 		if res.Err == nil {
 			t.Fatalf("%s: oversized circuit did not fail", req.Tag)
 		}
@@ -194,7 +194,7 @@ func TestSourceParsing(t *testing.T) {
 		{Tag: "text", Source: "h q5\ncx q5,q10\nmeasure q10"},
 		{Tag: "qasm", Source: qasmSrc},
 	} {
-		res := p.Run(context.Background(), req)
+		res := p.Compile(context.Background(), req)
 		if res.Err != nil {
 			t.Fatalf("%s: %v", req.Tag, res.Err)
 		}
@@ -234,7 +234,7 @@ func TestPrecanceledContext(t *testing.T) {
 	p := New(dev, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := p.Run(ctx, Request{Tag: "x", Circuit: crosstalkCircuit(1)})
+	res := p.Compile(ctx, Request{Tag: "x", Circuit: crosstalkCircuit(1)})
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", res.Err)
 	}
@@ -332,7 +332,7 @@ func TestPartitionedBatchDeterministicAcrossWorkers(t *testing.T) {
 func TestPipelineSolveStatsSurfaced(t *testing.T) {
 	dev := testDev(t)
 	p := New(dev, Config{Partition: true, WindowGates: 2, Budget: 5 * time.Second})
-	res := p.Run(context.Background(), Request{Tag: "x", Circuit: crosstalkCircuit(3)})
+	res := p.Compile(context.Background(), Request{Tag: "x", Circuit: crosstalkCircuit(3)})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -17,15 +17,15 @@ import (
 
 // stage is one step of a compilation pipeline. Stages read and extend the
 // Result in place; returning an error fails the item (fail-soft within a
-// batch). Stages must not mutate the Compiler — it is shared by all
+// batch). Stages must not mutate the Pipeline — it is shared by all
 // concurrent compilations.
 type stage interface {
 	Name() string
-	Run(ctx context.Context, c *Compiler, res *Result) error
+	Run(ctx context.Context, p *Pipeline, res *Result) error
 }
 
 // errNoInput is the empty-request failure shared by the parse stage and
-// Compiler.Materialize.
+// Pipeline.Materialize.
 var errNoInput = errors.New("request has neither Circuit nor Source")
 
 // parseSource parses textual program input: OpenQASM 2.0 when it contains
@@ -47,19 +47,12 @@ type parseStage struct{}
 func (parseStage) Name() string { return "parse" }
 
 // Run implements stage.
-func (parseStage) Run(_ context.Context, c *Compiler, res *Result) error {
-	if res.Circuit != nil {
-		return checkFits(res.Circuit, c.Dev)
+func (parseStage) Run(_ context.Context, p *Pipeline, res *Result) error {
+	circ, err := materialize(&res.Req, p.Dev)
+	if circ != nil {
+		res.Circuit = circ
 	}
-	if res.Req.Source == "" {
-		return errNoInput
-	}
-	parsed, err := parseSource(res.Req.Source, c.Dev)
-	if err != nil {
-		return err
-	}
-	res.Circuit = parsed
-	return checkFits(parsed, c.Dev)
+	return err
 }
 
 // checkFits guards every downstream stage (schedulers and the executor
@@ -80,8 +73,8 @@ type routeStage struct{}
 func (routeStage) Name() string { return "route" }
 
 // Run implements stage.
-func (routeStage) Run(_ context.Context, c *Compiler, res *Result) error {
-	routed, _, err := transpile.Route(res.Circuit, c.Dev.Topo)
+func (routeStage) Run(_ context.Context, p *Pipeline, res *Result) error {
+	routed, _, err := transpile.Route(res.Circuit, p.Dev.Topo)
 	if err != nil {
 		return err
 	}
@@ -97,13 +90,13 @@ type decomposeStage struct{}
 func (decomposeStage) Name() string { return "decompose" }
 
 // Run implements stage.
-func (decomposeStage) Run(_ context.Context, _ *Compiler, res *Result) error {
+func (decomposeStage) Run(_ context.Context, _ *Pipeline, res *Result) error {
 	res.Circuit = res.Circuit.DecomposeSwaps()
 	return nil
 }
 
-// scheduleStage assigns start times with the request's scheduler (or the
-// pipeline default), threading cancellation into the SMT search, and
+// scheduleStage assigns start times with the scheduler Pipeline.Scheduler
+// picks for the request, threading cancellation into the SMT search, and
 // validates the result.
 type scheduleStage struct{}
 
@@ -111,24 +104,16 @@ type scheduleStage struct{}
 func (scheduleStage) Name() string { return "schedule" }
 
 // Run implements stage.
-func (scheduleStage) Run(ctx context.Context, c *Compiler, res *Result) error {
-	sched := c.Scheduler(&res.Req)
-	if res.Req.Budget > 0 {
-		// Deadline propagation: cap the anytime budget rather than the
-		// context — budget expiry yields the incumbent (or heuristic
-		// fallback) as a valid schedule, where a context deadline hit before
-		// the first incumbent would fail the compile outright.
-		sched = CapBudget(sched, res.Req.Budget)
-	}
-	s, err := core.ScheduleWithContext(ctx, sched, res.Circuit, c.Dev)
+func (scheduleStage) Run(ctx context.Context, p *Pipeline, res *Result) error {
+	s, err := core.ScheduleWithContext(ctx, p.Scheduler(&res.Req), res.Circuit, p.Dev)
 	if err != nil {
 		return err
 	}
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("invalid schedule: %w", err)
 	}
-	if c.certifyEnabled() {
-		if rep := c.certifyCheck(s); !rep.OK() {
+	if p.certifyEnabled() {
+		if rep := p.certifyCheck(s); !rep.OK() {
 			return fmt.Errorf("schedule rejected by certifier: %w", rep.Err())
 		}
 	}
@@ -145,7 +130,7 @@ type barrierStage struct{}
 func (barrierStage) Name() string { return "barriers" }
 
 // Run implements stage.
-func (barrierStage) Run(_ context.Context, _ *Compiler, res *Result) error {
+func (barrierStage) Run(_ context.Context, _ *Pipeline, res *Result) error {
 	res.Barriered = core.InsertBarriers(res.Schedule)
 	return nil
 }
@@ -158,15 +143,15 @@ type executeStage struct{}
 func (executeStage) Name() string { return "execute" }
 
 // Run implements stage.
-func (executeStage) Run(ctx context.Context, c *Compiler, res *Result) error {
+func (executeStage) Run(ctx context.Context, p *Pipeline, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	shots := res.Req.Shots
 	if shots <= 0 {
-		shots = c.cfg.Shots
+		shots = p.cfg.Shots
 	}
-	raw, err := noise.NewExecutor(c.Dev).Run(res.Schedule, noise.Options{
+	raw, err := noise.NewExecutor(p.Dev).Run(res.Schedule, noise.Options{
 		Shots:            shots,
 		Seed:             res.Req.Seed,
 		DisableCrosstalk: res.Req.DisableCrosstalk,
@@ -188,8 +173,8 @@ type mitigateStage struct{}
 func (mitigateStage) Name() string { return "mitigate" }
 
 // Run implements stage.
-func (mitigateStage) Run(_ context.Context, c *Compiler, res *Result) error {
-	dist, err := Mitigated(c.Dev, res.Raw)
+func (mitigateStage) Run(_ context.Context, p *Pipeline, res *Result) error {
+	dist, err := Mitigated(p.Dev, res.Raw)
 	if err != nil {
 		return err
 	}

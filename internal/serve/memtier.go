@@ -1,10 +1,11 @@
-// Package serve turns the stateless compilation engine into a long-running
-// compilation service: compiled artifacts and their encoded replies live in
-// one size-bounded, content-addressed LRU keyed by
-// pipeline.Compiler.Fingerprint, concurrent identical requests are collapsed
-// onto one underlying solve, and an admission queue bounds how many cold
-// compilations run at once. cmd/xtalkd wraps the Server in an HTTP daemon
-// (/compile, /stats, /healthz); cmd/xtalksched -serve is the matching client.
+// Package serve turns the compilation engine (pipeline.Pipeline, one per
+// device calibration) into a long-running compilation service: compiled
+// artifacts and their encoded replies live in one size-bounded,
+// content-addressed LRU keyed by pipeline.Pipeline.Fingerprint, concurrent
+// identical requests are collapsed onto one underlying solve, and an
+// admission queue bounds how many cold compilations run at once. cmd/xtalkd
+// wraps the Server in an HTTP daemon (/compile, /stats, /healthz);
+// cmd/xtalksched -serve is the matching client.
 package serve
 
 import (

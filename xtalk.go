@@ -78,7 +78,9 @@ type (
 	// RBConfig shapes randomized-benchmarking experiments.
 	RBConfig = rb.Config
 	// Pipeline is the staged compilation pipeline (Parse → Route → Schedule
-	// → InsertBarriers → Execute → Mitigate) with concurrent batch support.
+	// → InsertBarriers → Execute → Mitigate): the one goroutine-safe
+	// compilation engine, with concurrent batch support, per-request
+	// statistics on each Result and per-stage totals across requests.
 	Pipeline = pipeline.Pipeline
 	// PipelineConfig shapes a Pipeline.
 	PipelineConfig = pipeline.Config
@@ -86,11 +88,8 @@ type (
 	CompileRequest = pipeline.Request
 	// CompileResult is a Pipeline's per-item outcome.
 	CompileResult = pipeline.Result
-	// Compiler is the goroutine-safe compilation engine behind Pipeline:
-	// immutable after construction, per-request statistics on each Result.
-	Compiler = pipeline.Compiler
 	// CompiledArtifact is the immutable, cacheable product of one compile,
-	// content-addressed by Compiler.Fingerprint.
+	// content-addressed by Pipeline.Fingerprint.
 	CompiledArtifact = pipeline.CompiledArtifact
 	// CompileServer is the compilation service: a content-addressed
 	// artifact cache with singleflight collapse in front of per-device
@@ -216,21 +215,17 @@ func NewPortfolioScheduler(nd *NoiseData, cfg XtalkConfig, windowGates int) Sche
 // ground-truth-noise XtalkSched pipeline.
 func NewPipeline(dev *Device, cfg PipelineConfig) *Pipeline { return pipeline.New(dev, cfg) }
 
-// NewCompiler builds the goroutine-safe compilation engine over the device:
-// Pipeline without the cross-request statistics, for callers that manage
-// aggregation themselves (the serving layer, custom schedulers of work).
-func NewCompiler(dev *Device, cfg PipelineConfig) *Compiler { return pipeline.NewCompiler(dev, cfg) }
-
 // NewCompileServer builds the compilation service: a content-addressed
-// artifact cache (keyed by Compiler.Fingerprint) with singleflight collapse
+// artifact cache (keyed by Pipeline.Fingerprint) with singleflight collapse
 // of concurrent identical requests and a bounded admission queue, fronting
 // per-device compilation pipelines. cmd/xtalkd exposes it over HTTP.
 func NewCompileServer(cfg CompileServerConfig) (*CompileServer, error) { return serve.New(cfg) }
 
 // GroundTruthNoiseData extracts perfect characterization data from the
 // device (useful for testing; real flows use Characterize). Results are
-// memoized per (system, seed, day, threshold) and shared: treat them as
-// read-only.
+// memoized per (system, seed, day, threshold) for the life of the process
+// and shared: treat them as read-only. A Pipeline built without
+// PipelineConfig.Noise extracts its own copy and does not use the memo.
 func GroundTruthNoiseData(dev *Device, threshold float64) *NoiseData {
 	return pipeline.GroundTruthNoise(dev, threshold)
 }

@@ -170,7 +170,7 @@ func TestPartitionedSchedSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			res := p.Run(context.Background(), CompileRequest{Tag: "smoke", Circuit: c})
+			res := p.Compile(context.Background(), CompileRequest{Tag: "smoke", Circuit: c})
 			elapsed := time.Since(start)
 			if res.Err != nil {
 				t.Fatal(res.Err)
@@ -211,7 +211,7 @@ func TestFacadeSpecPipelineOnGeneratedDevice(t *testing.T) {
 	if len(chain) != 4 {
 		t.Fatalf("chain %v", chain)
 	}
-	res := p.Run(context.Background(), CompileRequest{Tag: "qaoa", Circuit: c, Seed: 3})
+	res := p.Compile(context.Background(), CompileRequest{Tag: "qaoa", Circuit: c, Seed: 3})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
