@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"xtalk/internal/certify"
 	"xtalk/internal/circuit"
 	"xtalk/internal/core"
 	"xtalk/internal/device"
@@ -484,5 +485,35 @@ func BenchmarkSMTSchedulerSolve(b *testing.B) {
 		if _, err := x.Schedule(dc, dev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCertifyCheck prices the certification pass every compile now
+// pays: certify.Check, configured as the schedule stage configures it
+// (ground-truth pairs re-derived from the calibration, cost checked), on
+// ParSched schedules of cold_compile's heavyhex supremacy shapes.
+func BenchmarkCertifyCheck(b *testing.B) {
+	for _, sh := range []struct {
+		spec          string
+		qubits, gates int
+	}{{"heavyhex:27", 27, 100}, {"heavyhex:127", 127, 300}} {
+		dev := device.MustNewFromSpec(sh.spec, 1)
+		c, err := workloads.SupremacyCircuit(dev.Topo, sh.qubits, sh.gates, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := core.ParSched{}.Schedule(c, dev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := certify.Config{Omega: 0.5, CheckCost: true, ClaimedCost: s.Cost(core.NoiseDataFromDevice(dev, 3), 0.5)}
+		b.Run(sh.spec, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rep := certify.Check(s, cfg); !rep.OK() {
+					b.Fatal(rep.Err())
+				}
+			}
+		})
 	}
 }

@@ -83,7 +83,6 @@ func main() {
 		queue     = flag.Int("queue", 0, "max concurrent cold compilations (0 = GOMAXPROCS)")
 		shedQueue = flag.Int("shed-queue", 0, "max cold compilations waiting behind the -queue slots before load is shed with 429 (0 = 4x -queue, negative = no waiting room)")
 		workers   = flag.Int("workers", 0, "SMT solve pool width per device pipeline (0 = GOMAXPROCS)")
-		doCertify = flag.Bool("certify", false, "run the independent schedule certifier on every compile (violations fail the request)")
 		peerTO    = flag.Duration("peer-timeout", serve.DefaultPeerTimeout, "per-attempt peer proxy timeout (dial/headers/body)")
 		peerRetry = flag.Int("peer-retries", 1, "extra peer proxy attempts after a retryable failure, with jittered backoff (0 = none)")
 		brkFails  = flag.Int("breaker-failures", serve.DefaultBreakerFailures, "consecutive peer failures before the circuit breaker trips open")
@@ -125,7 +124,6 @@ func main() {
 			Route:          *route,
 			DecomposeSwaps: *decompose,
 			Workers:        *workers,
-			Certify:        *doCertify,
 		},
 		CacheBytes:      cacheBytes,
 		StoreDir:        *store,

@@ -54,7 +54,6 @@ func main() {
 		portfolio = flag.Bool("portfolio", false, "race the SMT engine against the greedy heuristic under -budget and keep the best schedule")
 		workload  = flag.String("workload", "", "generate a built-in circuit instead of reading input: qaoa[:K]|supremacy[:GATES]|swap[:A,B]")
 		serveURL  = flag.String("serve", "", "compile via a running xtalkd daemon at this base URL (e.g. http://localhost:8077) instead of locally")
-		doCertify = flag.Bool("certify", false, "run the independent schedule certifier on every local compile (violations fail the run)")
 	)
 	flag.Parse()
 	spec := *devSpec
@@ -63,7 +62,6 @@ func main() {
 	}
 	opts := runOpts{
 		omega:     *omega,
-		certify:   *doCertify,
 		budget:    *budget,
 		stats:     *stats,
 		partition: *partition || *window > 0,
@@ -74,7 +72,7 @@ func main() {
 	if *serveURL != "" {
 		// The daemon compiles under its own configuration; warn when local
 		// scheduling flags were set so they are not silently dropped.
-		ignored := map[string]bool{"omega": true, "budget": true, "partition": true, "window": true, "portfolio": true, "certify": true}
+		ignored := map[string]bool{"omega": true, "budget": true, "partition": true, "window": true, "portfolio": true}
 		var dropped []string
 		flag.Visit(func(f *flag.Flag) {
 			if ignored[f.Name] {
@@ -100,7 +98,6 @@ type runOpts struct {
 	omega     float64
 	budget    time.Duration
 	stats     bool
-	certify   bool
 	partition bool
 	window    int
 	portfolio bool
@@ -288,7 +285,6 @@ func run(in, spec, workload string, seed int64, opts runOpts) error {
 		WindowGates:    opts.window,
 		Portfolio:      opts.portfolio,
 		DecomposeSwaps: true,
-		Certify:        opts.certify,
 	})
 	var reqs []pipeline.Request
 	if workload != "" {

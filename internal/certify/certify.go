@@ -323,21 +323,22 @@ func Check(s *core.Schedule, cfg Config) *Report {
 		}
 	}
 
+	// The non-barrier gates on each qubit, gathered in one pass: the
+	// exclusivity sweep and the lifetime loop below both read them.
+	onQubit := make([][]int, c.NQubits)
+	for _, g := range c.Gates {
+		if g.Kind == circuit.KindBarrier {
+			continue
+		}
+		for _, q := range g.Qubits {
+			onQubit[q] = append(onQubit[q], g.ID)
+		}
+	}
+
 	// Qubit exclusivity: on every qubit, non-barrier gates must not
 	// overlap in time. Sorted sweep per qubit; the running latest finisher
 	// is the witness for any overlap.
-	for q := 0; q < c.NQubits; q++ {
-		var ids []int
-		for _, g := range c.Gates {
-			if g.Kind == circuit.KindBarrier {
-				continue
-			}
-			for _, gq := range g.Qubits {
-				if gq == q {
-					ids = append(ids, g.ID)
-				}
-			}
-		}
+	for q, ids := range onQubit {
 		sort.Slice(ids, func(i, j int) bool {
 			if s.Start[ids[i]] != s.Start[ids[j]] {
 				return s.Start[ids[i]] < s.Start[ids[j]]
@@ -448,23 +449,20 @@ func Check(s *core.Schedule, cfg Config) *Report {
 		}
 		gateCost.Add(gateCost, ratFloat(errCost(eps)))
 	}
-	decoCost := new(big.Rat)
-	for q := 0; q < c.NQubits; q++ {
+	// The lifetime ratios sum over a running common denominator: each
+	// coherence time brings its own odd numerator into the denominator, so
+	// a per-term Rat.Add would pay a GCD over ever larger integers. Here
+	// num/den grows by multiplication only and is reduced once.
+	num, den := new(big.Int), big.NewInt(1)
+	var termNum, termDen big.Int
+	for q, ids := range onQubit {
 		first, lastF := math.Inf(1), math.Inf(-1)
-		for _, g := range c.Gates {
-			if g.Kind == circuit.KindBarrier {
-				continue
+		for _, id := range ids {
+			if s.Start[id] < first {
+				first = s.Start[id]
 			}
-			for _, gq := range g.Qubits {
-				if gq != q {
-					continue
-				}
-				if s.Start[g.ID] < first {
-					first = s.Start[g.ID]
-				}
-				if f := finish(g.ID); f > lastF {
-					lastF = f
-				}
+			if f := finish(id); f > lastF {
+				lastF = f
 			}
 		}
 		if math.IsInf(first, 1) || lastF-first <= 0 {
@@ -474,9 +472,15 @@ func Check(s *core.Schedule, cfg Config) *Report {
 		if coh <= 0 {
 			coh = 1
 		}
-		lt := new(big.Rat).Sub(ratFloat(lastF), ratFloat(first))
-		decoCost.Add(decoCost, lt.Quo(lt, ratFloat(coh)))
+		// lifetime/coh = (lt.num * coh.den) / (lt.den * coh.num).
+		lt, cr := new(big.Rat).Sub(ratFloat(lastF), ratFloat(first)), ratFloat(coh)
+		termNum.Mul(lt.Num(), cr.Denom())
+		termDen.Mul(lt.Denom(), cr.Num())
+		num.Mul(num, &termDen)
+		num.Add(num, termNum.Mul(&termNum, den))
+		den.Mul(den, &termDen)
 	}
+	decoCost := new(big.Rat).SetFrac(num, den)
 	cost := new(big.Rat).Mul(ratFloat(cfg.Omega), gateCost)
 	cost.Add(cost, new(big.Rat).Mul(new(big.Rat).Sub(ratFloat(1), ratFloat(cfg.Omega)), decoCost))
 	r.Cost = cost

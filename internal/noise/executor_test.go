@@ -243,7 +243,10 @@ func TestResultCountsSumToShots(t *testing.T) {
 
 // TestRunAllocsGrowOnlyWithOutcomes: the shot loop runs over a prebuilt
 // step table with a reused bits buffer, so only a new outcome (its key and
-// the histogram's growth) allocates.
+// the histogram's growth) allocates. The bound holds only with the tree
+// pool intact, which the race detector does not keep: a -race build runs
+// the executor but skips the assertion, and CI enforces the bound in the
+// non-race alloc-gate step.
 func TestRunAllocsGrowOnlyWithOutcomes(t *testing.T) {
 	dev := device.MustNew(device.Poughkeepsie, 1)
 	c, err := workloads.SwapCircuit(dev.Topo, 0, 13)
@@ -267,6 +270,9 @@ func TestRunAllocsGrowOnlyWithOutcomes(t *testing.T) {
 	}
 	a8, n8 := run(8)
 	a64, n64 := run(64)
+	if raceEnabled {
+		t.Skipf("allocation counts are not meaningful under -race (%v at 64 shots, %v at 8)", a64, a8)
+	}
 	if a64-a8 > float64(2*(n64-n8)) {
 		t.Fatalf("Executor.Run allocates %v at 64 shots (%d outcomes), %v at 8 (%d outcomes)", a64, n64, a8, n8)
 	}

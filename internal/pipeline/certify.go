@@ -1,27 +1,20 @@
 package pipeline
 
 import (
-	"testing"
-
 	"xtalk/internal/certify"
 	"xtalk/internal/core"
 	"xtalk/internal/device"
 )
 
-// certifyEnabled decides whether the schedule stage runs the independent
-// post-check for this engine: explicitly via Config.Certify, and always
-// under `go test` — every test that compiles through the pipeline gets the
-// certifier for free, so an engine regression cannot hide behind a test
-// that only asserts its own property. (testing.Testing() is false in real
-// binaries, where the check stays opt-in via the -certify flags.)
-func (p *Pipeline) certifyEnabled() bool {
-	return p.cfg.Certify || testing.Testing()
-}
-
-// certifyCheck runs the independent certifier against a freshly produced
-// schedule. The claimed cost is the same evaluation the artifact records
-// (Schedule.Cost at the engine's noise and omega), so a pass here certifies
-// the numbers the serving layer hands out.
+// certifyCheck runs the independent certifier against every freshly
+// produced schedule, in tests and binaries alike: precedence, exclusivity,
+// readout alignment, device-model durations and the objective cost are
+// re-derived from the raw device model, and any violation fails the
+// compile, so nothing the schedule stage rejects is ever served or cached.
+// Certification verifies an artifact and never changes one, so it leaves
+// fingerprints and artifact bytes alone. The claimed cost is the same
+// evaluation the artifact records (Schedule.Cost at the engine's noise and
+// omega), so a pass here certifies the numbers the serving layer hands out.
 //
 // The certifier re-derives the crosstalk pair relation from the raw device
 // calibration whenever the engine schedules against ground truth (recorded

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -298,5 +299,48 @@ func TestNewLeavesNoiseMemoAlone(t *testing.T) {
 	}
 	if New(dev, Config{Noise: core.NoiseDataFromDevice(dev, 2)}).groundTruth {
 		t.Fatal("engine over other noise data flagged as ground truth")
+	}
+}
+
+// stretchSched wraps ParSched and lengthens the last CNOT's duration: a
+// schedule Validate accepts (the gate has no successor) but whose timing
+// breaks the device model.
+type stretchSched struct{ core.ParSched }
+
+func (stretchSched) Schedule(c *circuit.Circuit, dev *device.Device) (*core.Schedule, error) {
+	s, err := core.ParSched{}.Schedule(c, dev)
+	if err != nil {
+		return nil, err
+	}
+	for i := len(c.Gates) - 1; i >= 0; i-- {
+		if c.Gates[i].Kind == circuit.KindCNOT {
+			s.Duration[i] += 100
+			break
+		}
+	}
+	return s, nil
+}
+
+// TestCertifierRejectsSchedule: every compile is certified, so a schedule
+// that breaks the device model fails its compile even on a zero Config,
+// and the artifact path returns the error — the serving layer answers 500
+// and caches nothing.
+func TestCertifierRejectsSchedule(t *testing.T) {
+	dev := testDev(t)
+	e := dev.Topo.Edges[0]
+	c := circuit.New(dev.Topo.NQubits)
+	c.H(e.A)
+	c.CNOT(e.A, e.B)
+	p := New(dev, Config{})
+	req := Request{Circuit: c, Scheduler: stretchSched{}}
+	res := p.Compile(context.Background(), req)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "rejected by certifier") {
+		t.Fatalf("stretched CNOT compiled: err %v", res.Err)
+	}
+	if !strings.Contains(res.Err.Error(), "bad-duration") {
+		t.Fatalf("rejection does not name the duration: %v", res.Err)
+	}
+	if art, err := p.Artifact(context.Background(), req); err == nil {
+		t.Fatalf("artifact %s built from a rejected schedule", art.Fingerprint)
 	}
 }

@@ -113,7 +113,8 @@ func (r *Result) StageElapsed(stage string) time.Duration {
 	return 0
 }
 
-// Config shapes a Pipeline.
+// Config shapes a Pipeline. Certification is not among its knobs: every
+// schedule stage passes its schedule through the independent certifier.
 type Config struct {
 	// Noise is the scheduler's characterization input. When nil the
 	// device's ground truth is extracted at Threshold, once per engine.
@@ -154,14 +155,6 @@ type Config struct {
 	// Mitigate applies readout-error mitigation to executed results (the
 	// paper applies it to all reported numbers).
 	Mitigate bool
-	// Certify runs the independent schedule certifier (internal/certify)
-	// as a post-check of every schedule stage: precedence, exclusivity,
-	// readout alignment and the objective cost are re-derived from the raw
-	// device model, and any violation fails the compile. Always on under
-	// `go test`; flag-gated (-certify) in the CLIs. Deliberately excluded
-	// from artifact fingerprints — certification verifies an artifact, it
-	// never changes one.
-	Certify bool
 	// Workers bounds batch concurrency (default GOMAXPROCS).
 	Workers int
 }

@@ -96,8 +96,8 @@ func (decomposeStage) Run(_ context.Context, _ *Pipeline, res *Result) error {
 }
 
 // scheduleStage assigns start times with the scheduler Pipeline.Scheduler
-// picks for the request, threading cancellation into the SMT search, and
-// validates the result.
+// picks for the request, threading cancellation into the SMT search, then
+// validates the result and certifies it independently.
 type scheduleStage struct{}
 
 // Name implements stage.
@@ -112,10 +112,8 @@ func (scheduleStage) Run(ctx context.Context, p *Pipeline, res *Result) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("invalid schedule: %w", err)
 	}
-	if p.certifyEnabled() {
-		if rep := p.certifyCheck(s); !rep.OK() {
-			return fmt.Errorf("schedule rejected by certifier: %w", rep.Err())
-		}
+	if rep := p.certifyCheck(s); !rep.OK() {
+		return fmt.Errorf("schedule rejected by certifier: %w", rep.Err())
 	}
 	res.Schedule = s
 	res.Solve = s.Stats
